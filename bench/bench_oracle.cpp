@@ -41,9 +41,9 @@ void run(util::TableWriter& table, Instance instance, double epsilon,
   // ...then stretch and visited-connection accounting.
   util::OnlineStats stretch, visited_stats;
   for (const auto& [u, v] : sampled) {
-    std::size_t visited = 0;
-    const Weight est = oracle.query_counted(u, v, &visited);
-    visited_stats.add(static_cast<double>(visited));
+    oracle::QueryStats stats;
+    const Weight est = oracle.query_stats(u, v, stats);
+    visited_stats.add(static_cast<double>(stats.entries_scanned));
     const Weight truth = sssp::distance(instance.graph, u, v);
     if (truth > 0) stretch.add(est / truth);
   }

@@ -1,20 +1,18 @@
-// E14 — query service throughput: serial dispatch vs. the pooled batched
-// engine vs. the pooled engine with its sharded LRU result cache, and the
-// shard-per-core ShardedEngine (lock-free MPSC intake + epoch-swapped
-// snapshots) at 1/2/4/8 shard workers on a >=100k-vertex grid.
+// E14 — query service throughput: serial PathOracle::query on a small grid,
+// and the shard-per-core ShardedEngine (lock-free MPSC intake +
+// epoch-swapped snapshots) at 1/2/4/8 shard workers on a >=100k-vertex
+// grid.
 //
 // Workload: a planar grid oracle (the paper's canonical 1-path-separable
 // family) serving a fixed number of (u, v) queries, drawn either uniformly
 // or Zipf-skewed from a fixed pool of distinct pairs — the repeat-heavy
 // popularity distribution an object-location service sees. Serial answers
-// on one thread straight from PathOracle::query; pooled fans batches out to
-// the persistent worker pool; cached adds the result cache on top (warmed
-// by one pass); sharded routes each pair to its owning worker through the
-// intake rings. Speedups are relative to serial QPS on the same workload.
-// Every engine row carries the PR 8 observability surface: windowed
-// qps/p50/p99, slow-log exemplars, and the answers_total-level family (which
-// the bench asserts sums to queries_total). Sharded rows additionally
-// cross-check an order-sensitive FNV digest of the full answer stream — any
+// on one thread straight from PathOracle::query; sharded routes each pair
+// to its owning worker through the intake rings. Speedups are relative to
+// serial QPS on the same workload. Every sharded row carries the
+// observability surface — windowed qps/p99 and the answers_total-level
+// family, which the bench asserts sums to queries_total — and
+// cross-checks an order-sensitive FNV digest of the full answer stream: any
 // divergence across shard counts is a hard failure (nonzero exit).
 //
 // Beyond closed-loop throughput the bench measures:
@@ -52,7 +50,6 @@
 #include "obs/trace.hpp"
 #include "service/net.hpp"
 #include "service/net_server.hpp"
-#include "service/query_engine.hpp"
 #include "service/sharded_engine.hpp"
 #include "util/args.hpp"
 #include "util/parallel.hpp"
@@ -137,19 +134,6 @@ std::uint64_t serial_digest(const oracle::PathOracle& oracle,
   return digest.h;
 }
 
-double run_engine(service::QueryEngine& engine, const Workload& w,
-                  std::size_t batch, double* seconds) {
-  util::Timer timer;
-  for (std::size_t begin = 0; begin < w.queries.size(); begin += batch) {
-    const std::size_t end = std::min(begin + batch, w.queries.size());
-    const auto results = engine.query_batch(
-        std::span<const service::Query>(w.queries).subspan(begin, end - begin));
-    util::do_not_optimize(results);
-  }
-  *seconds = timer.elapsed_seconds();
-  return static_cast<double>(w.queries.size()) / *seconds;
-}
-
 /// The serial loop of run_serial plus the obs-layer work the engine adds to
 /// the query hot path: the cost-tracking query (query_stats instead of
 /// query), three counter increments (total, miss, per-level answer), the
@@ -158,10 +142,9 @@ double run_engine(service::QueryEngine& engine, const Workload& w,
 /// clock-read flavor is added too: the per-query latency record, the
 /// windowed-histogram record (it reuses the same t1 reading), and slow-log
 /// admission for tail queries. That cost is clock reads, not obs recording,
-/// and the bench reports it as a separate number. (The engines now chain
-/// timestamps across a chunk — n+1 reads per n queries — so their clock
-/// cost is roughly *half* this serial per-query-timer number; that is what
-/// fixed the pooled zipf row that sat below 1.0x before PR 10.)
+/// and the bench reports it as a separate number. (The engine chains
+/// timestamps across a chunk — n+1 reads per n queries — so its clock cost
+/// is roughly *half* this serial per-query-timer number.)
 double run_serial_instrumented(const oracle::PathOracle& oracle,
                                const Workload& w, std::size_t batch,
                                obs::MetricsRegistry& registry,
@@ -232,12 +215,9 @@ double run_serial_instrumented(const oracle::PathOracle& oracle,
   return static_cast<double>(w.queries.size()) / timer.elapsed_seconds();
 }
 
-struct RunRecord {
-  std::string mode, workload;
-  std::size_t threads = 1;
-  double qps = 0, speedup = 1.0, p99_us = 0;
-  bool has_window = false;  ///< engine modes carry a windowed-tail view
-  obs::WindowedHistogram::View window{};
+struct SerialRecord {
+  std::string workload;
+  double qps = 0, p99_us = 0;
 };
 
 // --------------------------------------------------------- sharded closed loop
@@ -247,7 +227,9 @@ struct ShardedRow {
   double qps = 0, speedup = 1.0, p99_us = 0;
   std::uint64_t digest = 0;
   obs::WindowedHistogram::View window{};
+  std::uint64_t answers_sum = 0, queries_total = 0;
   bool answers_sum_ok = true;
+  std::string metrics_json;
 };
 
 ShardedRow run_sharded(
@@ -280,14 +262,17 @@ ShardedRow run_sharded(
       1000.0;
   row.digest = digest.h;
   row.window = engine.window().view(obs::window_now_ns());
-  std::uint64_t answers_sum = 0, queries_total = 0;
-  for (const obs::MetricSample& s : engine.metrics().snapshot()) {
+  // Attribution invariant the exporter tests pin down: the answers_total
+  // family (levels + cached/self/unreachable) sums to queries_total.
+  const obs::MetricsSnapshot metrics = engine.metrics().snapshot();
+  for (const obs::MetricSample& s : metrics) {
     if (s.kind != obs::MetricKind::kCounter) continue;
-    if (s.name == "answers_total") answers_sum += s.counter_value;
-    if (s.name == "queries_total") queries_total = s.counter_value;
+    if (s.name == "answers_total") row.answers_sum += s.counter_value;
+    if (s.name == "queries_total") row.queries_total = s.counter_value;
   }
-  row.answers_sum_ok =
-      answers_sum == queries_total && queries_total == w.queries.size();
+  row.answers_sum_ok = row.answers_sum == row.queries_total &&
+                       row.queries_total == w.queries.size();
+  row.metrics_json = obs::metrics_to_json(metrics);
   return row;
 }
 
@@ -499,16 +484,19 @@ int main(int argc, char** argv) {
   const std::size_t distinct_pairs = quick ? 20000 : 200000;
   const std::size_t batch = 1024;
   const std::size_t threads = util::default_threads();
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
   // The sharded/network sections run on a separate >=100k-vertex snapshot
   // (acceptance floor); --quick shrinks it to keep smoke runs under a second.
   const std::size_t big_side = quick ? 60 : 320;
   const std::size_t big_queries = quick ? 20000 : 200000;
   int exit_code = 0;
 
-  section("E14", "query service throughput (serial vs pooled vs cached)");
+  section("E14", "serial query throughput (small grid)");
   std::printf("grid %zux%zu, eps=%.2f, %zu queries, %zu distinct pairs, "
-              "batch %zu, %zu worker threads (PATHSEP_THREADS overrides)\n",
-              side, side, eps, num_queries, distinct_pairs, batch, threads);
+              "batch %zu, %zu shard workers (PATHSEP_THREADS overrides), "
+              "%u hardware threads\n",
+              side, side, eps, num_queries, distinct_pairs, batch, threads,
+              hardware_threads);
 
   Instance inst = make_grid(side);
   const hierarchy::DecompositionTree tree(inst.graph, *inst.finder);
@@ -521,87 +509,18 @@ int main(int argc, char** argv) {
   const Workload zipf =
       make_workload("zipf-1.1", distinct_pairs, 1.1, num_queries, n, 7);
 
-  util::TableWriter table({"mode", "workload", "threads", "cache", "qps",
-                           "speedup", "hit_rate", "p99_us"});
-  std::vector<RunRecord> records;
-  std::string engine_metrics_json = "{}";
-  std::string windowed_json = "{}";
-  std::string slowlog_json = "[]";
-  std::uint64_t answers_sum = 0, answers_queries = 0;
-
+  util::TableWriter table({"mode", "workload", "qps", "p99_us"});
+  std::vector<SerialRecord> records;
   for (const Workload* w : {&uniform, &zipf}) {
     double serial_s = 0;
     obs::LatencyHistogram serial_lat;
     const double serial_qps = run_serial(*snapshot, *w, &serial_s, &serial_lat);
     const double serial_p99_us = serial_lat.percentile_nanos(0.99) / 1000.0;
-    table.add_row({"serial", w->name, "1", "off",
-                   util::strf("%.0f", serial_qps), "1.00x", "-",
+    table.add_row({"serial", w->name, util::strf("%.0f", serial_qps),
                    util::strf("%.1f", serial_p99_us)});
-    records.push_back({"serial", w->name, 1, serial_qps, 1.0, serial_p99_us});
-
-    service::QueryEngineOptions pooled_opts;
-    pooled_opts.threads = threads;
-    pooled_opts.cache_capacity = 0;
-    service::QueryEngine pooled(snapshot, pooled_opts);
-    double pooled_s = 0;
-    const double pooled_qps = run_engine(pooled, *w, batch, &pooled_s);
-    const double pooled_p99_us =
-        pooled.metrics().histogram("query_latency_ns").percentile_nanos(0.99) /
-        1000.0;
-    table.add_row({"pooled", w->name, util::strf("%zu", threads), "off",
-                   util::strf("%.0f", pooled_qps),
-                   util::strf("%.2fx", pooled_qps / serial_qps), "-",
-                   util::strf("%.1f", pooled_p99_us)});
-    records.push_back({"pooled", w->name, threads, pooled_qps,
-                       pooled_qps / serial_qps, pooled_p99_us, true,
-                       pooled.window().view(obs::window_now_ns())});
-    engine_metrics_json = obs::metrics_to_json(pooled.metrics().snapshot());
-    windowed_json = obs::window_to_json(records.back().window);
-    slowlog_json = obs::slowlog_to_json(pooled.slowlog().snapshot());
-    // Attribution invariant the exporter tests pin down: the answers_total
-    // family (levels + cached/self/unreachable) sums to queries_total.
-    answers_sum = 0;
-    answers_queries = 0;
-    for (const obs::MetricSample& s : pooled.metrics().snapshot()) {
-      if (s.kind != obs::MetricKind::kCounter) continue;
-      if (s.name == "answers_total") answers_sum += s.counter_value;
-      if (s.name == "queries_total") answers_queries = s.counter_value;
-    }
-
-    service::QueryEngineOptions cached_opts;
-    cached_opts.threads = threads;
-    cached_opts.cache_capacity = 1 << 16;
-    service::QueryEngine cached(snapshot, cached_opts);
-    double warm_s = 0;
-    run_engine(cached, *w, batch, &warm_s);  // warm the LRU
-    const std::uint64_t warm_hits = cached.cache().hits();
-    const std::uint64_t warm_misses = cached.cache().misses();
-    double cached_s = 0;
-    const double cached_qps = run_engine(cached, *w, batch, &cached_s);
-    const double warm_rate =
-        static_cast<double>(cached.cache().hits() - warm_hits) /
-        static_cast<double>((cached.cache().hits() - warm_hits) +
-                            (cached.cache().misses() - warm_misses));
-    const double cached_p99_us =
-        cached.metrics().histogram("query_latency_ns").percentile_nanos(0.99) /
-        1000.0;
-    table.add_row({"cached", w->name, util::strf("%zu", threads), "65536",
-                   util::strf("%.0f", cached_qps),
-                   util::strf("%.2fx", cached_qps / serial_qps),
-                   util::strf("%.1f%%", 100.0 * warm_rate),
-                   util::strf("%.1f", cached_p99_us)});
-    records.push_back({"cached", w->name, threads, cached_qps,
-                       cached_qps / serial_qps, cached_p99_us, true,
-                       cached.window().view(obs::window_now_ns())});
+    records.push_back({w->name, serial_qps, serial_p99_us});
   }
-
   table.print(std::cout);
-  std::printf(
-      "\nnotes: pooled speedup scales with hardware threads (this run: %zu); "
-      "cached hit-rate column is measured after a full warming pass; batches "
-      "at or below the adaptive inline cutoff are answered on the caller's "
-      "thread with chained timestamps.\n",
-      threads);
 
   // ---- Instrumentation overhead: raw serial loop vs. the same loop with
   // per-query obs recording, tracing off then on. Best of 3 reps each to
@@ -698,6 +617,7 @@ int main(int argc, char** argv) {
   std::size_t slowlog_span_entries = 0;
   std::size_t slowlog_entries = 0;
   double tracing_sharded_qps = 0;
+  std::string slowlog_json = "[]";
   {
     service::ShardedEngineOptions opts;
     opts.shards = threads;
@@ -814,28 +734,24 @@ int main(int argc, char** argv) {
   std::printf("skipped (epoll front-end is Linux-only)\n");
 #endif
 
-  // ---- JSON record for the repo (EXPERIMENTS.md points here).
+  // ---- JSON record for the repo (EXPERIMENTS.md points here). The
+  // windowed view, answers_level_sum and engine_metrics sections come from
+  // the one-shard row.
+  const ShardedRow& first = sharded_rows.front();
   std::ostringstream json;
   json << "{\n  \"bench\": \"bench_service\",\n"
        << "  \"grid_side\": " << side << ", \"epsilon\": " << eps
        << ", \"num_queries\": " << num_queries
        << ", \"distinct_pairs\": " << distinct_pairs
-       << ", \"batch\": " << batch << ", \"threads\": " << threads << ",\n"
+       << ", \"batch\": " << batch << ", \"threads\": " << threads
+       << ", \"hardware_concurrency\": " << hardware_threads << ",\n"
        << "  \"runs\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const RunRecord& r = records[i];
-    json << "    {\"mode\": \"" << r.mode << "\", \"workload\": \""
-         << r.workload << "\", \"threads\": " << r.threads
-         << ", \"qps\": " << util::strf("%.0f", r.qps)
-         << ", \"speedup\": " << util::strf("%.3f", r.speedup)
-         << ", \"p99_us\": " << util::strf("%.2f", r.p99_us);
-    if (r.has_window)
-      json << ", \"win_qps\": " << util::strf("%.0f", r.window.qps)
-           << ", \"win_p50_us\": "
-           << util::strf("%.2f", r.window.p50_nanos / 1e3)
-           << ", \"win_p99_us\": "
-           << util::strf("%.2f", r.window.p99_nanos / 1e3);
-    json << "}" << (i + 1 < records.size() ? "," : "") << "\n";
+    const SerialRecord& r = records[i];
+    json << "    {\"mode\": \"serial\", \"workload\": \"" << r.workload
+         << "\", \"qps\": " << util::strf("%.0f", r.qps)
+         << ", \"p99_us\": " << util::strf("%.2f", r.p99_us) << "}"
+         << (i + 1 < records.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
        << "  \"sharded\": {\"grid_side\": " << big_side
@@ -880,11 +796,12 @@ int main(int argc, char** argv) {
        << ", \"p99_us\": " << util::strf("%.2f", net_row.p99_us)
        << ", \"frames\": " << net_row.frames << ", \"digest_ok\": "
        << (net_ok ? "true" : "false") << "},\n"
-       << "  \"windowed\": " << windowed_json << ",\n"
+       << "  \"windowed\": " << obs::window_to_json(first.window) << ",\n"
        << "  \"slowlog\": " << slowlog_json << ",\n"
-       << "  \"answers_level_sum\": {\"answers_total\": " << answers_sum
-       << ", \"queries_total\": " << answers_queries << ", \"equal\": "
-       << (answers_sum == answers_queries ? "true" : "false") << "},\n"
+       << "  \"answers_level_sum\": {\"answers_total\": " << first.answers_sum
+       << ", \"queries_total\": " << first.queries_total << ", \"equal\": "
+       << (first.answers_sum == first.queries_total ? "true" : "false")
+       << "},\n"
        << "  \"instrumentation_overhead\": {\n"
        << "    \"raw_qps\": " << util::strf("%.0f", raw_qps)
        << ", \"instrumented_qps\": " << util::strf("%.0f", instr_qps)
@@ -896,7 +813,7 @@ int main(int argc, char** argv) {
        << ", \"per_query_timing_pct\": "
        << util::strf("%.2f", per_query_timing_pct)
        << ", \"spans_recorded\": " << spans_recorded << "\n  },\n"
-       << "  \"engine_metrics\": " << engine_metrics_json << "\n}\n";
+       << "  \"engine_metrics\": " << first.metrics_json << "\n}\n";
   std::ofstream out(out_path);
   out << json.str();
   std::printf("\nwrote %s\n", out_path.c_str());

@@ -1,6 +1,6 @@
 // Query server: build or load a distance-oracle snapshot, then serve
-// (u, v) distance queries through the concurrent batched QueryEngine under
-// a closed-loop multi-threaded load generator.
+// (u, v) distance queries through the shard-per-core ShardedEngine, either
+// to an in-process closed-loop multi-threaded load generator or over TCP.
 //
 //   # build from a planar grid, save the snapshot, serve for 3 seconds
 //   ./query_server --side=64 --eps=0.25 --save=grid.snapshot --duration=3
@@ -15,15 +15,15 @@
 //   # front-end); drive it with `bench_service --loadgen --connect=...`
 //   ./query_server --side=64 --serve=9917 --serve-duration=30
 //
-// Flags: --side (grid side length), --eps, --threads (0 = all cores,
-// PATHSEP_THREADS honored), --engine=pooled|sharded (which engine answers
-// the in-process load loop), --shards (sharded engine worker count; 0 = all
-// cores), --clients (load-generator threads), --batch (queries per client
+// Flags: --side (grid side length), --eps, --shards (engine worker count;
+// 0 = all cores, PATHSEP_THREADS honored; 1 answers every batch on the
+// calling client thread), --clients (load-generator threads), --batch
+// (queries per client
 // batch), --duration (seconds), --pairs (distinct query pairs), --zipf
 // (skew exponent; 0 = uniform), --cache (entries; 0 disables),
 // --save/--load/--verify, --serve=PORT (listen on 127.0.0.1:PORT — 0 picks
-// an ephemeral port — and serve the length-prefixed binary protocol through
-// the sharded engine instead of running the in-process load loop),
+// an ephemeral port — and serve the length-prefixed binary protocol instead
+// of running the in-process load loop),
 // --serve-duration (seconds to stay up; default 30), --statsz=json|prom
 // (render the /statsz payload — engine metrics merged with the process-wide
 // obs registry, plus the windowed latency view and slow-log in json format —
@@ -45,7 +45,6 @@
 #include "oracle/serialize.hpp"
 #include "separator/finders.hpp"
 #include "service/net_server.hpp"
-#include "service/query_engine.hpp"
 #include "service/sharded_engine.hpp"
 #include "service/snapshot.hpp"
 #include "util/args.hpp"
@@ -67,8 +66,6 @@ oracle::PathOracle build_grid_oracle(std::size_t side, double eps) {
 /// registry (construction pipeline counters), one exporter format per call.
 /// The json flavor also carries the query-path tail sections — the windowed
 /// latency view and the exemplar slow-log (prom stays pure metric samples).
-/// Takes the obs pieces rather than an engine so both engine flavors (and
-/// the network server) share it.
 std::string render_statsz(const obs::MetricsRegistry& metrics,
                           const obs::WindowedHistogram& window,
                           const obs::SlowLog& slowlog,
@@ -97,7 +94,6 @@ int run(int argc, char** argv) {
   const auto side = static_cast<std::size_t>(args.get_int("side", 64));
   const double eps = args.get_double("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 0));
   const auto clients = static_cast<std::size_t>(args.get_int("clients", 4));
   const auto batch = static_cast<std::size_t>(args.get_int("batch", 512));
   const double duration = args.get_double("duration", 3.0);
@@ -110,17 +106,12 @@ int run(int argc, char** argv) {
   const std::string statsz = args.get("statsz");
   const std::string trace_out = args.get("trace-out");
   const bool trace = args.get_bool("trace") || !trace_out.empty();
-  const std::string engine_kind = args.get("engine", "pooled");
   const auto shards = static_cast<std::size_t>(args.get_int("shards", 0));
   const bool serve = args.has("serve");
   const auto serve_port = static_cast<std::uint16_t>(args.get_int("serve", 0));
   const double serve_duration = args.get_double("serve-duration", 30.0);
   if (!statsz.empty() && statsz != "json" && statsz != "prom") {
     std::fprintf(stderr, "error: --statsz must be json or prom\n");
-    return 1;
-  }
-  if (engine_kind != "pooled" && engine_kind != "sharded") {
-    std::fprintf(stderr, "error: --engine must be pooled or sharded\n");
     return 1;
   }
 
@@ -177,15 +168,18 @@ int run(int argc, char** argv) {
     std::printf("verify: all labels and 1000 sampled queries bit-identical\n");
   }
 
-  // 3a. --serve: expose the sharded engine over the binary wire protocol on
-  // a TCP port and stay up for --serve-duration seconds. The listening line
-  // is printed (and flushed) first so a wrapper script can parse the port
+  if (!serve && duration <= 0) return 0;
+
+  service::ShardedEngineOptions engine_options;
+  engine_options.shards = shards;
+  engine_options.cache_capacity = cache;
+  service::ShardedEngine engine(snapshot, engine_options);
+
+  // 3a. --serve: expose the engine over the binary wire protocol on a TCP
+  // port and stay up for --serve-duration seconds. The listening line is
+  // printed (and flushed) first so a wrapper script can parse the port
   // before pointing a load generator at it.
   if (serve) {
-    service::ShardedEngineOptions sharded_options;
-    sharded_options.shards = shards;
-    sharded_options.cache_capacity = cache;
-    service::ShardedEngine engine(snapshot, sharded_options);
     service::NetServerOptions net_options;
     net_options.port = serve_port;
     service::NetServer server(engine, net_options);
@@ -220,29 +214,10 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  if (duration <= 0) return 0;
-
   // 3b. Closed-loop load generation: each client thread draws pairs from a
   // Zipf-ranked pool (the skew a real object-location service sees) and
-  // submits fixed-size batches until the deadline. --engine picks who
-  // answers: the pooled QueryEngine (batch fan-out over a thread pool) or
-  // the ShardedEngine (hash-owned shards fed through lock-free intake
-  // rings).
-  std::unique_ptr<service::QueryEngine> pooled_engine;
-  std::unique_ptr<service::ShardedEngine> sharded_engine;
-  if (engine_kind == "sharded") {
-    service::ShardedEngineOptions sharded_options;
-    sharded_options.shards = shards;
-    sharded_options.cache_capacity = cache;
-    sharded_engine =
-        std::make_unique<service::ShardedEngine>(snapshot, sharded_options);
-  } else {
-    service::QueryEngineOptions options;
-    options.threads = threads;
-    options.cache_capacity = cache;
-    pooled_engine = std::make_unique<service::QueryEngine>(snapshot, options);
-  }
-
+  // submits fixed-size batches until the deadline; the engine routes each
+  // pair to its owning shard through the lock-free intake rings.
   const auto n = static_cast<std::uint64_t>(snapshot->num_vertices());
   util::Rng pool_rng(seed);
   std::vector<service::Query> pair_pool;
@@ -252,13 +227,11 @@ int run(int argc, char** argv) {
                          static_cast<graph::Vertex>(pool_rng.next_below(n))});
   const util::ZipfSampler zipf(pair_pool.size(), zipf_s);
 
-  const std::size_t workers = sharded_engine ? sharded_engine->num_shards()
-                                             : pooled_engine->num_threads();
   std::printf(
-      "serving: %s engine, %zu workers, %zu clients, batch %zu, %zu pairs "
-      "(zipf s=%.2f), cache %zu entries, %.1fs...%s\n",
-      engine_kind.c_str(), workers, clients, batch, pairs, zipf_s, cache,
-      duration, trace ? " (tracing)" : "");
+      "serving: %zu shards, %zu clients, batch %zu, %zu pairs (zipf s=%.2f), "
+      "cache %zu entries, %.1fs...%s\n",
+      engine.num_shards(), clients, batch, pairs, zipf_s, cache, duration,
+      trace ? " (tracing)" : "");
   if (trace) obs::set_trace_enabled(true);
 
   std::vector<std::thread> load;
@@ -270,9 +243,7 @@ int run(int argc, char** argv) {
       std::vector<service::Query> queries(batch);
       while (wall.elapsed_seconds() < duration) {
         for (service::Query& q : queries) q = pair_pool[zipf.sample(rng)];
-        const auto results = sharded_engine
-                                 ? sharded_engine->query_batch(queries)
-                                 : pooled_engine->query_batch(queries);
+        const auto results = engine.query_batch(queries);
         answered[c] += results.size();
       }
     });
@@ -280,14 +251,10 @@ int run(int argc, char** argv) {
   const double elapsed = wall.elapsed_seconds();
 
   // Non-const: MetricsRegistry::histogram is get-or-create.
-  obs::MetricsRegistry& engine_metrics =
-      sharded_engine ? sharded_engine->metrics() : pooled_engine->metrics();
-  const service::ResultCache& engine_cache =
-      sharded_engine ? sharded_engine->cache() : pooled_engine->cache();
-  const obs::WindowedHistogram& engine_window =
-      sharded_engine ? sharded_engine->window() : pooled_engine->window();
-  const obs::SlowLog& engine_slowlog =
-      sharded_engine ? sharded_engine->slowlog() : pooled_engine->slowlog();
+  obs::MetricsRegistry& engine_metrics = engine.metrics();
+  const service::ResultCache& engine_cache = engine.cache();
+  const obs::WindowedHistogram& engine_window = engine.window();
+  const obs::SlowLog& engine_slowlog = engine.slowlog();
 
   std::uint64_t total = 0;
   for (const std::uint64_t a : answered) total += a;

@@ -25,6 +25,10 @@
 #            the epoll front-end + wire codec + sharded engine answer real
 #            socket traffic with digest-checked results
 #            (scripts/serve_smoke.sh)
+#   perfbench  python3 perfbench/test_checks.py: builds the end-to-end
+#            benchmark (perfbench/, which compiles against the library's
+#            public API) and runs its tiny clean runs plus the corruption
+#            runs each output check must catch
 #   tsa      Clang Thread Safety Analysis: clang++ build with -Wthread-safety
 #            -Werror=thread-safety-analysis over the PATHSEP_GUARDED_BY /
 #            PATHSEP_REQUIRES annotations (util/thread_annotations.hpp) —
@@ -45,7 +49,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc 2>/dev/null || echo 4)}
 STEPS=("$@")
-[ ${#STEPS[@]} -eq 0 ] && STEPS=(release asan tsan obsoff tsa bench smoke lint tidy)
+[ ${#STEPS[@]} -eq 0 ] && STEPS=(release asan tsan obsoff tsa bench smoke perfbench lint tidy)
 
 banner() { printf '\n=== %s ===\n' "$*"; }
 
@@ -104,6 +108,11 @@ if want smoke; then
   cmake --preset release
   cmake --build build --target query_server bench_service -j "$JOBS"
   scripts/serve_smoke.sh
+fi
+
+if want perfbench; then
+  banner "perfbench: benchmark build + output-check tests"
+  python3 perfbench/test_checks.py
 fi
 
 if want lint; then

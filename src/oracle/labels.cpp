@@ -50,10 +50,30 @@ Weight sweep_pair(const std::vector<Connection>& a,
   return best;
 }
 
-}  // namespace
+/// Cost sink of the plain query: records nothing and compiles away.
+struct NoCost {
+  void scanned(std::size_t) {}
+  void won(const LabelPart&) {}
+};
 
-Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
-                    std::size_t* visited) {
+/// Cost sink of the attributed query: fills a QueryCost.
+struct RecordCost {
+  QueryCost& cost;
+  void scanned(std::size_t entries) {
+    cost.entries_scanned += static_cast<std::uint32_t>(entries);
+  }
+  void won(const LabelPart& part) {
+    cost.win_node = part.node;
+    cost.win_path = part.path;
+  }
+};
+
+/// The label merge walk: both part lists are sorted by (node, path), so one
+/// pass pairs up the common (node, path) parts and sweeps each pair. The
+/// sink is a template parameter, so the plain query pays nothing for cost
+/// attribution.
+template <class Sink>
+Weight merge_walk(const DistanceLabel& u, const DistanceLabel& v, Sink sink) {
   if (u.vertex == v.vertex) return 0;
   Weight best = graph::kInfiniteWeight;
   std::size_t iu = 0, iv = 0;
@@ -68,46 +88,27 @@ Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
       (pu.path < pv.path ? iu : iv)++;
       continue;
     }
-    if (visited)
-      *visited += pu.connections.size() + pv.connections.size();
-    best = std::min(best, sweep_pair(pu.connections, pv.connections));
+    sink.scanned(pu.connections.size() + pv.connections.size());
+    const Weight pair = sweep_pair(pu.connections, pv.connections);
+    if (pair < best) {
+      best = pair;
+      sink.won(pu);
+    }
     ++iu;
     ++iv;
   }
   return best;
 }
 
-// Deliberately a second copy of the merge walk rather than a flag inside the
-// plain overload: the plain path is the serving hot loop and stays free of
-// the winner bookkeeping.
+}  // namespace
+
+Weight query_labels(const DistanceLabel& u, const DistanceLabel& v) {
+  return merge_walk(u, v, NoCost{});
+}
+
 Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
                     QueryCost& cost) {
-  if (u.vertex == v.vertex) return 0;
-  Weight best = graph::kInfiniteWeight;
-  std::size_t iu = 0, iv = 0;
-  while (iu < u.parts.size() && iv < v.parts.size()) {
-    const LabelPart& pu = u.parts[iu];
-    const LabelPart& pv = v.parts[iv];
-    if (pu.node != pv.node) {
-      (pu.node < pv.node ? iu : iv)++;
-      continue;
-    }
-    if (pu.path != pv.path) {
-      (pu.path < pv.path ? iu : iv)++;
-      continue;
-    }
-    cost.entries_scanned += static_cast<std::uint32_t>(
-        pu.connections.size() + pv.connections.size());
-    const Weight pair = sweep_pair(pu.connections, pv.connections);
-    if (pair < best) {
-      best = pair;
-      cost.win_node = pu.node;
-      cost.win_path = pu.path;
-    }
-    ++iu;
-    ++iv;
-  }
-  return best;
+  return merge_walk(u, v, RecordCost{cost});
 }
 
 std::vector<DistanceLabel> build_labels(

@@ -25,6 +25,8 @@ struct LabelPart {
   std::int32_t node = 0;  ///< decomposition node id
   std::int32_t path = 0;  ///< path index within the node
   std::vector<Connection> connections;  ///< sorted by prefix
+
+  bool operator==(const LabelPart&) const = default;
 };
 
 struct DistanceLabel {
@@ -36,13 +38,14 @@ struct DistanceLabel {
   std::size_t size_in_words() const;
 
   std::size_t connection_count() const;
+
+  /// Field-by-field equality (what a snapshot round trip must preserve).
+  bool operator==(const DistanceLabel&) const = default;
 };
 
 /// d(u,v) upper estimate from two labels; kInfiniteWeight when the labels
-/// share no usable path (different components). `visited` (optional)
-/// accumulates the number of connections scanned — the measured query cost.
-Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
-                    std::size_t* visited = nullptr);
+/// share no usable path (different components).
+Weight query_labels(const DistanceLabel& u, const DistanceLabel& v);
 
 /// Cost attribution of one query_labels call, for tail-latency analysis:
 /// how many connections the sweeps read, and which (node, path) pair's

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "check/check.hpp"
 #include "oracle/labels.hpp"
 
 namespace pathsep::oracle {
@@ -30,17 +31,19 @@ class PathOracle {
 
   /// (1+ε)-approximate distance between root-graph vertices. Never
   /// underestimates; kInfiniteWeight if u and v are disconnected.
+  /// Precondition: u, v < num_vertices(). The ids are not range-checked
+  /// here; callers that take ids from outside the process (the network
+  /// front-end) reject out-of-range ids first.
   Weight query(Vertex u, Vertex v) const {
+    PATHSEP_DCHECK(u < labels_.size() && v < labels_.size(),
+                   "query vertex out of range: ", u, ", ", v);
     return query_labels(labels_[u], labels_[v]);
   }
 
-  /// Same, also reporting the number of connections scanned.
-  Weight query_counted(Vertex u, Vertex v, std::size_t* visited) const {
-    return query_labels(labels_[u], labels_[v], visited);
-  }
-
-  /// Same estimate, with full cost attribution.
+  /// Same estimate and precondition, with full cost attribution.
   Weight query_stats(Vertex u, Vertex v, QueryStats& stats) const {
+    PATHSEP_DCHECK(u < labels_.size() && v < labels_.size(),
+                   "query vertex out of range: ", u, ", ", v);
     QueryCost cost;
     const Weight d = query_labels(labels_[u], labels_[v], cost);
     stats.entries_scanned = cost.entries_scanned;

@@ -35,6 +35,8 @@ struct Connection {
                              ///< (kInvalidVertex when v is the portal)
   Weight dist;               ///< exact d_J(v, portal)
   Weight prefix;             ///< portal's prefix position on the path
+
+  bool operator==(const Connection&) const = default;
 };
 
 /// ε-ladder indices on a path: prefix sums `prefix`, anchor index, base

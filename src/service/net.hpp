@@ -11,7 +11,10 @@
 // n is implied by payload_len: (payload_len - 4) / 8 for both directions (a
 // pair and a double are both 8 bytes). A request with payload_len < 4, a
 // pair section not divisible by 8, or payload_len > kMaxFrameBytes is a
-// protocol error; the server closes the connection. request_id is opaque to
+// protocol error; the server closes the connection. So is a request naming
+// a vertex id at or above the served snapshot's vertex count: parse_request
+// cannot know that count, so NetServer checks it after parsing, against
+// ShardedEngine::num_vertices(). request_id is opaque to
 // the server and echoed verbatim — clients use it to match pipelined
 // responses to send timestamps. An empty batch (n = 0) is valid and answered
 // with an empty response (a ping).

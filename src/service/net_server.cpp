@@ -43,6 +43,13 @@ void set_nonblocking(int fd) {
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// True iff every vertex id of the frame names a vertex of the snapshot.
+bool ids_in_range(const std::vector<Query>& queries, std::size_t n) {
+  for (const Query& q : queries)
+    if (q.u >= n || q.v >= n) return false;
+  return true;
+}
+
 }  // namespace
 
 NetServer::NetServer(ShardedEngine& engine, NetServerOptions options)
@@ -188,7 +195,10 @@ bool NetServer::service_conn(Conn& conn) {
     const wire::ParseStatus status =
         wire::parse_request(conn.in, offset, request, conn.queries);
     if (status == wire::ParseStatus::kIncomplete) break;
-    if (status == wire::ParseStatus::kMalformed) {
+    // An out-of-range vertex id is malformed too: the oracle indexes its
+    // labels by id unchecked.
+    if (status == wire::ParseStatus::kMalformed ||
+        !ids_in_range(conn.queries, engine_.num_vertices())) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }

@@ -11,8 +11,9 @@
 //
 // Graceful shutdown: stop() writes the eventfd; the loop stops accepting,
 // answers every complete frame already buffered, flushes pending responses
-// for up to ~2 seconds, then closes everything and exits. A malformed frame
-// closes only the offending connection (counted in protocol_errors).
+// for up to ~2 seconds, then closes everything and exits. A malformed frame,
+// including one with a vertex id outside the snapshot, closes only the
+// offending connection (counted in protocol_errors).
 //
 // Linux-only (epoll + eventfd): on other platforms start() throws.
 #pragma once

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "util/affinity.hpp"
 #include "util/parallel.hpp"
 
 namespace pathsep::service {
@@ -33,24 +32,21 @@ ShardedEngine::ShardedEngine(
     : options_(options),
       inline_cutoff_(options.inline_cutoff != 0 ? options.inline_cutoff
                                                 : options.drain_batch / 2),
-      cache_(options.cache_capacity, options.cache_shards),
+      num_vertices_(snapshot ? snapshot->num_vertices() : 0),
+      cache_(options.cache_capacity, kCacheShards),
       batches_total_(&metrics_.counter("batches_total")),
       intake_full_total_(&metrics_.counter("shard_intake_full_total")),
       snapshot_swaps_total_(&metrics_.counter("snapshot_swaps_total")),
-      snapshot_vertices_(&metrics_.gauge("snapshot_vertices")),
       path_(metrics_, cache_,
             snapshot ? snapshot->num_levels() : std::size_t{1},
-            AnswerPathOptions{options.slowlog_capacity,
-                              options.slowlog_stripes,
-                              options.window_interval_ns,
-                              options.window_slots}),
+            options.slowlog_capacity),
       epochs_(std::min<std::size_t>(
                   kMaxShards, options.shards != 0 ? options.shards
                                                   : util::default_threads()),
               /*shared=*/16) {
   if (!snapshot) throw std::invalid_argument("null oracle snapshot");
-  snapshot_vertices_->set(
-      static_cast<std::int64_t>(snapshot->num_vertices()));
+  metrics_.gauge("snapshot_vertices")
+      .set(static_cast<std::int64_t>(num_vertices_));
   live_.store(snapshot.get(), std::memory_order_release);
   {
     util::LockGuard lock(owner_mutex_);
@@ -105,7 +101,6 @@ void ShardedEngine::wake_shard(Shard& shard) {
 }
 
 void ShardedEngine::worker_loop(std::size_t shard_id) {
-  if (options_.pin_affinity) util::pin_thread_to_core(shard_id);
   Shard& shard = *shards_[shard_id];
   const std::size_t drain = std::max<std::size_t>(1, options_.drain_batch);
   // Per-worker scratch, sized once before the first drain.
@@ -244,6 +239,9 @@ std::shared_ptr<const oracle::PathOracle> ShardedEngine::snapshot() const {
 void ShardedEngine::replace_snapshot(
     std::shared_ptr<const oracle::PathOracle> snapshot) {
   if (!snapshot) throw std::invalid_argument("null oracle snapshot");
+  if (snapshot->num_vertices() != num_vertices_)
+    throw std::invalid_argument(
+        "replacement snapshot has a different vertex count");
   {
     util::LockGuard lock(owner_mutex_);
     // Publish the new pointer *before* retire advances the epoch (invariant
@@ -251,8 +249,6 @@ void ShardedEngine::replace_snapshot(
     // loads the new snapshot, so the old one is destroyable once every pin
     // is newer than the retire epoch.
     live_.store(snapshot.get(), std::memory_order_seq_cst);
-    snapshot_vertices_->set(
-        static_cast<std::int64_t>(snapshot->num_vertices()));
     std::shared_ptr<const oracle::PathOracle> old = std::move(owner_);
     owner_ = std::move(snapshot);
     epochs_.retire([retired = std::move(old)]() mutable { retired.reset(); });

@@ -29,8 +29,8 @@
 // Backpressure: a full ring never blocks the producer — the query is
 // answered inline on the producer's thread against the same epoch-pinned
 // snapshot (counted in shard_intake_full_total). Small batches skip the
-// rings entirely (see inline_cutoff), matching the pooled engine's adaptive
-// fast path.
+// rings entirely (see inline_cutoff): handing sub-microsecond queries to a
+// worker while the caller waits costs more than it buys.
 //
 // Results are byte-identical across shard counts and thread counts: every
 // query is answered independently from one immutable snapshot, so the
@@ -44,9 +44,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "oracle/path_oracle.hpp"
 #include "service/answer_path.hpp"
-#include "service/metrics.hpp"
 #include "service/result_cache.hpp"
 #include "util/epoch.hpp"
 #include "util/mpsc_ring.hpp"
@@ -65,17 +65,11 @@ struct ShardedEngineOptions {
   /// thread (dispatch costs more than it buys on sub-microsecond queries).
   /// 0 = adaptive default (drain_batch / 2).
   std::size_t inline_cutoff = 0;
-  /// Pin shard i to core i (best effort; see util/affinity.hpp).
-  bool pin_affinity = false;
   /// Result-cache entries (0 = serving without a cache; the canonical pair
   /// key means both query directions land on one shard either way).
   std::size_t cache_capacity = 0;
-  std::size_t cache_shards = 16;
-  /// Tail-attribution knobs, forwarded to the shared AnswerPath.
+  /// Slowest-query exemplars kept by the slow-log (0 disables it).
   std::size_t slowlog_capacity = 64;
-  std::size_t slowlog_stripes = 8;
-  std::uint64_t window_interval_ns = 1'000'000'000;
-  std::size_t window_slots = 8;
 };
 
 class ShardedEngine {
@@ -114,7 +108,9 @@ class ShardedEngine {
 
   /// Epoch-based hot swap: queries already in flight finish against the
   /// snapshot they pinned; the old snapshot is destroyed only after every
-  /// reader drained. Throws on null.
+  /// reader drained. Throws std::invalid_argument on null or on a snapshot
+  /// whose vertex count differs from num_vertices(): callers validate
+  /// vertex ids against that count once, and it must stay true.
   void replace_snapshot(std::shared_ptr<const oracle::PathOracle> snapshot)
       PATHSEP_EXCLUDES(owner_mutex_);
 
@@ -129,14 +125,17 @@ class ShardedEngine {
   std::size_t retired_pending() const { return epochs_.retired_pending(); }
 
   std::size_t num_shards() const { return shards_.size(); }
+  /// Vertex count of every snapshot this engine serves (fixed at
+  /// construction); valid query ids are [0, num_vertices()).
+  std::size_t num_vertices() const { return num_vertices_; }
   /// Owning shard of a query pair (canonical: both directions agree).
   std::size_t shard_of(graph::Vertex u, graph::Vertex v) const;
   std::size_t inline_cutoff() const { return inline_cutoff_; }
 
   ResultCache& cache() { return cache_; }
   const ResultCache& cache() const { return cache_; }
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
+  obs::MetricsRegistry& metrics() { return metrics_; }
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
   const obs::WindowedHistogram& window() const { return path_.window(); }
   const obs::SlowLog& slowlog() const { return path_.slowlog(); }
   std::size_t num_level_counters() const {
@@ -173,14 +172,17 @@ class ShardedEngine {
   static void complete(std::atomic<std::uint32_t>* remaining,
                        std::uint32_t answered);
 
+  /// Result-cache lock shards (a power of two; see ResultCache).
+  static constexpr std::size_t kCacheShards = 16;
+
   ShardedEngineOptions options_;
   std::size_t inline_cutoff_ = 0;
+  std::size_t num_vertices_ = 0;
   ResultCache cache_;
-  MetricsRegistry metrics_;
-  Counter* batches_total_;
-  Counter* intake_full_total_;   ///< ring-full inline fallbacks
-  Counter* snapshot_swaps_total_;
-  Gauge* snapshot_vertices_;
+  obs::MetricsRegistry metrics_;
+  obs::Counter* batches_total_;
+  obs::Counter* intake_full_total_;  ///< ring-full inline fallbacks
+  obs::Counter* snapshot_swaps_total_;
   AnswerPath path_;  ///< after cache_/metrics_: it resolves counters in them
 
   util::EpochReclaimer epochs_;  ///< slots: one per shard + shared pool

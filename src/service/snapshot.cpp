@@ -3,6 +3,10 @@
 // nothing here may iterate a hash container into the output.
 #include "service/snapshot.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <stdexcept>
 
@@ -119,18 +123,35 @@ void save_snapshot(const oracle::PathOracle& oracle, const std::string& path,
         back.epsilon() != oracle.epsilon())
       throw std::runtime_error("snapshot round-trip header mismatch");
     for (std::size_t v = 0; v < oracle.num_vertices(); ++v)
-      if (oracle::serialize_label(back.label(static_cast<graph::Vertex>(v))) !=
-          oracle::serialize_label(oracle.label(static_cast<graph::Vertex>(v))))
+      if (back.label(static_cast<graph::Vertex>(v)) !=
+          oracle.label(static_cast<graph::Vertex>(v)))
         throw std::runtime_error("snapshot round-trip label mismatch at " +
                                  std::to_string(v));
   }
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (!file) throw std::runtime_error("cannot open " + path + " for writing");
-  const std::size_t written =
-      std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool closed = std::fclose(file) == 0;
-  if (written != bytes.size() || !closed)
-    throw std::runtime_error("short write to " + path);
+  // Write a sibling temp file, flush it to disk, then rename it over the
+  // target: the old snapshot stays intact until the new one is complete.
+  const std::string tmp = path + ".tmp-" + std::to_string(::getpid());
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0666);
+  if (fd < 0) throw std::runtime_error("cannot open " + tmp + " for writing");
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    written += static_cast<std::size_t>(n);
+  }
+  const bool synced = written == bytes.size() && ::fsync(fd) == 0;
+  const bool closed = ::close(fd) == 0;
+  if (!synced || !closed) {
+    ::unlink(tmp.c_str());
+    throw std::runtime_error("short write to " + tmp);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    throw std::runtime_error("cannot rename " + tmp + " to " + path);
+  }
 }
 
 oracle::PathOracle load_snapshot(const std::string& path) {

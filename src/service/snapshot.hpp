@@ -12,8 +12,8 @@
 // The checksum covers everything before it. Loading checks magic, version,
 // per-label lengths, the label count, and the checksum, and throws
 // std::runtime_error on any mismatch; saving optionally validates by
-// re-deserializing the buffer and comparing label-for-label against the
-// source oracle before the file reaches disk.
+// decoding the buffer once and comparing it field by field with the source
+// oracle before the file reaches disk, and replaces the target atomically.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +45,12 @@ oracle::PathOracle deserialize_oracle(std::span<const std::uint8_t> bytes);
 SnapshotInfo peek_snapshot(std::span<const std::uint8_t> bytes);
 
 /// Writes serialize_oracle(oracle) to `path`. With `validate` (the default),
-/// first round-trips the buffer in memory and asserts every label
-/// re-serializes to identical bytes — corruption is caught before the old
-/// snapshot on disk could be clobbered by a bad one. Throws on I/O failure.
+/// first decodes the buffer in memory and checks every label against the
+/// source field by field — corruption is caught before anything reaches
+/// disk. The bytes go to a temp file next to `path`, which is fsynced and
+/// then renamed over `path`, so a failed save (disk full, file-size limit,
+/// crash) leaves any old snapshot at `path` intact. Throws on I/O failure.
+/// Concurrent saves to the same path from one process are not supported.
 void save_snapshot(const oracle::PathOracle& oracle, const std::string& path,
                    bool validate = true);
 

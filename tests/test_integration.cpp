@@ -29,6 +29,14 @@ struct PipelineCase {
   double epsilon;
 };
 
+// Without this gtest prints the raw bytes of the case, `family` pointer
+// included, into the listed (and CTest-registered) test name, which then
+// changes from run to run under address randomisation. Family, n and seed are
+// already in the instance name; epsilon is the rest.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << "eps=" << c.epsilon;
+}
+
 struct BuiltInstance {
   Graph graph;
   std::unique_ptr<separator::SeparatorFinder> finder;

@@ -3,7 +3,7 @@
 // slow-log, the Perfetto/collapsed trace exporters (golden bytes plus a
 // mini JSON parser proving the output is well-formed trace_event JSON that
 // round-trips the span count), and the per-level answer attribution whose
-// counter family must sum exactly to queries_total regardless of worker
+// counter family must sum exactly to queries_total regardless of shard
 // count. Labeled `obs`, so every row of the matrix — TSan and the
 // PATHSEP_OBS_DISABLED build included — runs it.
 #include <gtest/gtest.h>
@@ -28,7 +28,7 @@
 #include "obs/window.hpp"
 #include "oracle/path_oracle.hpp"
 #include "separator/finders.hpp"
-#include "service/query_engine.hpp"
+#include "service/sharded_engine.hpp"
 #include "util/rng.hpp"
 
 namespace pathsep::obs {
@@ -552,10 +552,10 @@ TEST(ObsAttribution, QueryStatsMatchesQueryAndNamesTheWinner) {
 
 // ----------------------------------------- answers_total counter family
 
-std::map<std::string, std::uint64_t> counter_family(QueryEngine& engine,
-                                                    const std::string& name) {
+std::map<std::string, std::uint64_t> counter_family(
+    const obs::MetricsRegistry& metrics, const std::string& name) {
   std::map<std::string, std::uint64_t> family;
-  for (const obs::MetricSample& sample : engine.metrics().snapshot()) {
+  for (const obs::MetricSample& sample : metrics.snapshot()) {
     if (sample.kind != obs::MetricKind::kCounter || sample.name != name)
       continue;
     std::string key;
@@ -592,24 +592,25 @@ TEST(ObsAttribution, AnswerCountersAreExactAndThreadCountInvariant) {
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 2000);
 
   std::map<std::string, std::uint64_t> baseline;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    QueryEngineOptions opts;
-    opts.threads = threads;
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.inline_cutoff = 1;   // the batch goes through the shard rings
     opts.cache_capacity = 0;  // attribution must not depend on cache state
-    QueryEngine engine(snapshot, opts);
+    ShardedEngine engine(snapshot, opts);
     engine.query_batch(batch);
 
-    const auto answers = counter_family(engine, "answers_total");
-    const auto queries = counter_family(engine, "queries_total");
+    const auto answers = counter_family(engine.metrics(), "answers_total");
+    const auto queries = counter_family(engine.metrics(), "queries_total");
     ASSERT_FALSE(answers.empty());
     // Exactly one answers_total increment per query, so the family sums to
-    // queries_total — the acceptance invariant — at every worker count.
+    // queries_total — the acceptance invariant — at every shard count.
     EXPECT_EQ(family_sum(answers), batch.size());
     EXPECT_EQ(family_sum(queries), batch.size());
     if (baseline.empty())
       baseline = answers;
     else
-      EXPECT_EQ(answers, baseline) << threads << " threads diverged";
+      EXPECT_EQ(answers, baseline) << shards << " shards diverged";
   }
 }
 
@@ -617,40 +618,45 @@ TEST(ObsAttribution, CachedAnswersKeepTheSumInvariant) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const std::vector<Query> batch =
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 1000);
-  QueryEngineOptions opts;
-  opts.threads = 2;
-  QueryEngine engine(snapshot, opts);
-  engine.query_batch(batch);
-  engine.query_batch(batch);  // second pass answers mostly from cache
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.cache_capacity = 1 << 16;
+    ShardedEngine engine(snapshot, opts);
+    engine.query_batch(batch);
+    engine.query_batch(batch);  // second pass answers mostly from cache
 
-  const auto answers = counter_family(engine, "answers_total");
-  EXPECT_EQ(family_sum(answers), 2 * batch.size());
-  std::uint64_t cached = 0;
-  for (const auto& [key, value] : answers)
-    if (key.find("level=cached;") != std::string::npos) cached = value;
-  EXPECT_GT(cached, 0u);
+    const auto answers = counter_family(engine.metrics(), "answers_total");
+    EXPECT_EQ(family_sum(answers), 2 * batch.size()) << shards << " shards";
+    std::uint64_t cached = 0;
+    for (const auto& [key, value] : answers)
+      if (key.find("level=cached;") != std::string::npos) cached = value;
+    EXPECT_GT(cached, 0u) << shards << " shards";
+  }
 }
 
 TEST(ObsAttribution, EngineWindowAndSlowLogSeeTheWorkload) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
-  QueryEngineOptions opts;
-  opts.threads = 2;
-  opts.cache_capacity = 0;
-  opts.slowlog_capacity = 8;
-  QueryEngine engine(snapshot, opts);
   const std::vector<Query> batch =
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 500);
-  engine.query_batch(batch);
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.cache_capacity = 0;
+    opts.slowlog_capacity = 8;
+    ShardedEngine engine(snapshot, opts);
+    engine.query_batch(batch);
 
-  // Real clock: the samples all land within the (1s) window lookback.
-  const auto view = engine.window().view(obs::window_now_ns());
-  EXPECT_EQ(view.count, batch.size());
-  const std::vector<obs::SlowQuery> top = engine.slowlog().snapshot();
-  ASSERT_FALSE(top.empty());
-  ASSERT_LE(top.size(), 8u);
-  for (const obs::SlowQuery& e : top) {
-    EXPECT_LT(e.u, snapshot->num_vertices());
-    EXPECT_GT(e.latency_ns, 0u);
+    // Real clock: the samples all land within the (1s) window lookback.
+    const auto view = engine.window().view(obs::window_now_ns());
+    EXPECT_EQ(view.count, batch.size()) << shards << " shards";
+    const std::vector<obs::SlowQuery> top = engine.slowlog().snapshot();
+    ASSERT_FALSE(top.empty());
+    ASSERT_LE(top.size(), 8u);
+    for (const obs::SlowQuery& e : top) {
+      EXPECT_LT(e.u, snapshot->num_vertices());
+      EXPECT_GT(e.latency_ns, 0u);
+    }
   }
 }
 

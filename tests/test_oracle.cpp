@@ -136,10 +136,10 @@ TEST(PathOracle, QueryCountsVisitedConnections) {
   const hierarchy::DecompositionTree tree(gg.graph,
                                           separator::GridLineSeparator(10, 10));
   const PathOracle oracle(tree, 0.5);
-  std::size_t visited = 0;
-  oracle.query_counted(0, 99, &visited);
-  EXPECT_GT(visited, 0u);
-  EXPECT_LT(visited, 500u);  // O(k/eps log n), far below n^2
+  QueryStats stats;
+  oracle.query_stats(0, 99, stats);
+  EXPECT_GT(stats.entries_scanned, 0u);
+  EXPECT_LT(stats.entries_scanned, 500u);  // O(k/eps log n), far below n^2
 }
 
 TEST(PathOracle, LabelSizeGrowsSubLinearly) {

@@ -1,26 +1,33 @@
 // The query service layer: thread pool, sharded LRU cache, metrics,
-// whole-oracle snapshots, and the batched QueryEngine, including the
-// concurrency invariants the ISSUE acceptance criteria name — cached
-// results identical to uncached under mixed concurrent workloads, snapshot
-// round-trips bit-identical, and hits + misses == total queries.
+// whole-oracle snapshots (including an atomic re-save that fails part-way),
+// and the ShardedEngine's serving contract at 1, 2 and 8 shards — answers
+// equal to serial PathOracle::query with and without the cache, under mixed
+// concurrent workloads, and hits + misses == total queries.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "graph/generators.hpp"
 #include "hierarchy/decomposition_tree.hpp"
 #include "oracle/serialize.hpp"
 #include "separator/finders.hpp"
-#include "service/metrics.hpp"
-#include "service/query_engine.hpp"
+#include "obs/metrics.hpp"
 #include "service/result_cache.hpp"
+#include "service/sharded_engine.hpp"
 #include "service/snapshot.hpp"
-#include "service/thread_pool.hpp"
 #include "util/parallel.hpp"
+#include "util/thread_pool.hpp"
 
 namespace pathsep::service {
 namespace {
@@ -31,7 +38,7 @@ using graph::Weight;
 // ---------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
+  util::ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
   std::atomic<int> ran{0};
   for (int i = 0; i < 1000; ++i)
@@ -42,7 +49,7 @@ TEST(ThreadPool, RunsEverySubmittedTask) {
 }
 
 TEST(ThreadPool, ConcurrentSubmittersAllComplete) {
-  ThreadPool pool(3);
+  util::ThreadPool pool(3);
   std::atomic<int> ran{0};
   std::vector<std::thread> submitters;
   for (int t = 0; t < 4; ++t)
@@ -57,14 +64,14 @@ TEST(ThreadPool, ConcurrentSubmittersAllComplete) {
 TEST(ThreadPool, DestructorDrainsPendingTasks) {
   std::atomic<int> ran{0};
   {
-    ThreadPool pool(2);
+    util::ThreadPool pool(2);
     for (int i = 0; i < 100; ++i) pool.submit([&ran] { ran.fetch_add(1); });
   }
   EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(ThreadPool, WaitIdleOnFreshPoolReturns) {
-  ThreadPool pool(2);
+  util::ThreadPool pool(2);
   pool.wait_idle();  // must not deadlock
 }
 
@@ -142,8 +149,8 @@ TEST(ResultCache, ConcurrentMixedAccessStaysConsistent) {
 // ------------------------------------------------------------------- Metrics
 
 TEST(Metrics, CountersAccumulateAcrossThreads) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("ops");
+  obs::MetricsRegistry registry;
+  obs::Counter& counter = registry.counter("ops");
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t)
     workers.emplace_back([&counter] {
@@ -156,7 +163,7 @@ TEST(Metrics, CountersAccumulateAcrossThreads) {
 }
 
 TEST(Metrics, HistogramPercentilesAreBucketAccurate) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   // 90 fast samples at ~1us, 10 slow at ~1ms.
   for (int i = 0; i < 90; ++i) hist.record(1000);
   for (int i = 0; i < 10; ++i) hist.record(1000000);
@@ -170,14 +177,14 @@ TEST(Metrics, HistogramPercentilesAreBucketAccurate) {
 }
 
 TEST(Metrics, EmptyHistogramReportsZero) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.percentile_nanos(0.5), 0.0);
   EXPECT_EQ(hist.mean_nanos(), 0.0);
 }
 
 TEST(Metrics, EmptyHistogramQuantileEdgesAreZero) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   EXPECT_EQ(hist.percentile_nanos(0.0), 0.0);
   EXPECT_EQ(hist.percentile_nanos(1.0), 0.0);
   EXPECT_EQ(hist.percentile_nanos(-3.0), 0.0);
@@ -185,7 +192,7 @@ TEST(Metrics, EmptyHistogramQuantileEdgesAreZero) {
 }
 
 TEST(Metrics, SingleSampleHistogramAgreesAtEveryQuantile) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   hist.record(5000);  // bucket [4096, 8192)
   const double estimate = hist.percentile_nanos(0.5);
   EXPECT_GE(estimate, 4096.0);
@@ -196,7 +203,7 @@ TEST(Metrics, SingleSampleHistogramAgreesAtEveryQuantile) {
 }
 
 TEST(Metrics, QuantileEdgesPickSmallestAndLargestBuckets) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   hist.record(100);      // bucket [64, 128)
   hist.record(1000000);  // bucket [524288, 1048576)
   const double low = hist.percentile_nanos(0.0);
@@ -211,7 +218,7 @@ TEST(Metrics, QuantileEdgesPickSmallestAndLargestBuckets) {
 }
 
 TEST(Metrics, ZeroNanosecondSampleLandsInBucketZero) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   hist.record(0);
   EXPECT_EQ(hist.count(), 1u);
   EXPECT_EQ(hist.bucket_count(0), 1u);
@@ -220,7 +227,7 @@ TEST(Metrics, ZeroNanosecondSampleLandsInBucketZero) {
 }
 
 TEST(Metrics, ReportMentionsEveryMetric) {
-  MetricsRegistry registry;
+  obs::MetricsRegistry registry;
   registry.counter("alpha").inc(3);
   registry.histogram("lat").record(100);
   const std::string report = registry.report();
@@ -275,6 +282,57 @@ TEST(Snapshot, SaveLoadFileRoundTrip) {
       EXPECT_EQ(loaded.query(u, v), built.query(u, v));
 }
 
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(Snapshot, FailedResaveLeavesTheOldFileIntact) {
+  const oracle::PathOracle old_oracle = small_oracle(40);
+  const oracle::PathOracle new_oracle = small_oracle(200);
+  const std::string path = ::testing::TempDir() + "pathsep_resave.snapshot";
+  save_snapshot(old_oracle, path);
+  const std::vector<char> before = read_file(path);
+  ASSERT_FALSE(before.empty());
+  const std::size_t new_bytes = serialize_oracle(new_oracle).size();
+  ASSERT_GT(new_bytes, 2 * before.size());
+
+  // The re-save runs in a forked child under a file-size limit of half the
+  // new snapshot, so its write fails part-way with EFBIG (SIGXFSZ ignored);
+  // the limit stays out of this process. The child exits 0 iff the save
+  // threw.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit{};
+    limit.rlim_cur = limit.rlim_max = static_cast<rlim_t>(new_bytes / 2);
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(3);
+    try {
+      save_snapshot(new_oracle, path);
+    } catch (const std::runtime_error&) {
+      ::_exit(0);
+    }
+    ::_exit(1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the limited re-save did not throw";
+
+  // The old snapshot is bit-identical and loads; the temp file is gone.
+  EXPECT_EQ(read_file(path), before);
+  EXPECT_EQ(load_snapshot(path).num_vertices(), 40u);
+  const std::string tmp = path + ".tmp-" + std::to_string(child);
+  EXPECT_NE(::access(tmp.c_str(), F_OK), 0) << "temp file left behind";
+
+  // An unlimited re-save replaces the file.
+  save_snapshot(new_oracle, path);
+  EXPECT_EQ(load_snapshot(path).num_vertices(), 200u);
+  std::remove(path.c_str());
+}
+
 TEST(Snapshot, CorruptMagicVersionChecksumAndTruncationThrow) {
   const auto bytes = serialize_oracle(small_oracle(40));
   {
@@ -310,106 +368,133 @@ TEST(Snapshot, MisorderedLabelsRejected) {
                std::invalid_argument);
 }
 
-// --------------------------------------------------------------- QueryEngine
+// ------------------------------------------------------------- ShardedEngine
 
-TEST(QueryEngine, MatchesOracleWithAndWithoutCache) {
+constexpr std::size_t kShardCounts[] = {1, 2, 8};
+
+TEST(ShardedEngine, MatchesOracleWithAndWithoutCache) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(small_oracle());
-  QueryEngineOptions cached_opts;
-  cached_opts.threads = 2;
-  QueryEngineOptions uncached_opts;
-  uncached_opts.threads = 2;
-  uncached_opts.cache_capacity = 0;
-  QueryEngine cached(snapshot, cached_opts);
-  QueryEngine uncached(snapshot, uncached_opts);
-  const auto n = static_cast<Vertex>(snapshot->num_vertices());
-  for (Vertex u = 0; u < n; u += 3)
-    for (Vertex v = 0; v < n; v += 5) {
-      const Weight expected = snapshot->query(u, v);
-      EXPECT_EQ(cached.query(u, v), expected);
-      EXPECT_EQ(cached.query(v, u), expected);  // served from cache
-      EXPECT_EQ(uncached.query(u, v), expected);
-    }
-  EXPECT_GT(cached.cache().hits(), 0u);
-  EXPECT_EQ(uncached.cache().hits(), 0u);
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions cached_opts;
+    cached_opts.shards = shards;
+    cached_opts.cache_capacity = 1 << 16;
+    ShardedEngineOptions uncached_opts;
+    uncached_opts.shards = shards;
+    ShardedEngine cached(snapshot, cached_opts);
+    ShardedEngine uncached(snapshot, uncached_opts);
+    const auto n = static_cast<Vertex>(snapshot->num_vertices());
+    for (Vertex u = 0; u < n; u += 3)
+      for (Vertex v = 0; v < n; v += 5) {
+        const Weight expected = snapshot->query(u, v);
+        EXPECT_EQ(cached.query(u, v), expected);
+        EXPECT_EQ(cached.query(v, u), expected);  // served from cache
+        EXPECT_EQ(uncached.query(u, v), expected);
+      }
+    EXPECT_GT(cached.cache().hits(), 0u) << shards << " shards";
+    EXPECT_EQ(uncached.cache().hits(), 0u) << shards << " shards";
+  }
 }
 
-TEST(QueryEngine, BatchMatchesSingleQueries) {
+TEST(ShardedEngine, BatchMatchesSingleQueries) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(small_oracle());
-  QueryEngineOptions opts;
-  opts.threads = 3;
-  opts.batch_chunk = 16;  // force multi-chunk dispatch
-  QueryEngine engine(snapshot, opts);
   util::Rng rng(11);
   std::vector<Query> batch;
   for (int i = 0; i < 500; ++i)
     batch.push_back({static_cast<Vertex>(rng.next_below(80)),
                      static_cast<Vertex>(rng.next_below(80))});
-  const std::vector<Weight> results = engine.query_batch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    EXPECT_EQ(results[i], snapshot->query(batch[i].u, batch[i].v)) << i;
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.drain_batch = 16;   // many drains per batch
+    opts.inline_cutoff = 1;  // force the rings
+    ShardedEngine engine(snapshot, opts);
+    const std::vector<Weight> results = engine.query_batch(batch);
+    ASSERT_EQ(results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      EXPECT_EQ(results[i], snapshot->query(batch[i].u, batch[i].v))
+          << shards << " shards, query " << i;
+  }
 }
 
-TEST(QueryEngine, EmptyBatchIsFine) {
+TEST(ShardedEngine, EmptyBatchIsFine) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(small_oracle(40));
-  QueryEngine engine(snapshot);
-  EXPECT_TRUE(engine.query_batch({}).empty());
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    ShardedEngine engine(snapshot, opts);
+    EXPECT_TRUE(engine.query_batch({}).empty());
+    engine.query_batch_into({}, nullptr);
+  }
 }
 
-TEST(QueryEngine, ConcurrentMixedWorkloadIdenticalDistancesAndMetricsAddUp) {
+TEST(ShardedEngine, ConcurrentMixedWorkloadIdenticalDistancesAndMetricsAddUp) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(small_oracle());
-  QueryEngineOptions opts;
-  opts.threads = 2;
-  opts.cache_capacity = 512;
-  opts.batch_chunk = 32;
-  QueryEngine engine(snapshot, opts);
   constexpr int kClients = 4;
   constexpr int kPerClient = 400;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kClients; ++t)
-    clients.emplace_back([&engine, &snapshot, &mismatches, t] {
-      util::Rng rng(static_cast<std::uint64_t>(100 + t));
-      std::vector<Query> batch;
-      for (int i = 0; i < kPerClient; ++i) {
-        const auto u = static_cast<Vertex>(rng.next_below(80));
-        const auto v = static_cast<Vertex>(rng.next_below(80));
-        if (i % 3 == 0) {
-          if (engine.query(u, v) != snapshot->query(u, v)) ++mismatches;
-        } else {
-          batch.push_back({u, v});
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.cache_capacity = 512;
+    opts.drain_batch = 32;
+    opts.inline_cutoff = 1;
+    ShardedEngine engine(snapshot, opts);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int t = 0; t < kClients; ++t)
+      clients.emplace_back([&engine, &snapshot, &mismatches, t] {
+        util::Rng rng(static_cast<std::uint64_t>(100 + t));
+        std::vector<Query> batch;
+        for (int i = 0; i < kPerClient; ++i) {
+          const auto u = static_cast<Vertex>(rng.next_below(80));
+          const auto v = static_cast<Vertex>(rng.next_below(80));
+          if (i % 3 == 0) {
+            if (engine.query(u, v) != snapshot->query(u, v)) ++mismatches;
+          } else {
+            batch.push_back({u, v});
+          }
         }
-      }
-      const std::vector<Weight> results = engine.query_batch(batch);
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        if (results[i] != snapshot->query(batch[i].u, batch[i].v))
-          ++mismatches;
-    });
-  for (std::thread& c : clients) c.join();
-  EXPECT_EQ(mismatches.load(), 0);
+        const std::vector<Weight> results = engine.query_batch(batch);
+        for (std::size_t i = 0; i < batch.size(); ++i)
+          if (results[i] != snapshot->query(batch[i].u, batch[i].v))
+            ++mismatches;
+      });
+    for (std::thread& c : clients) c.join();
+    EXPECT_EQ(mismatches.load(), 0) << shards << " shards";
 
-  const auto total = engine.metrics().counter("queries_total").value();
-  const auto hits = engine.metrics().counter("cache_hits").value();
-  const auto misses = engine.metrics().counter("cache_misses").value();
-  EXPECT_EQ(total, static_cast<std::uint64_t>(kClients) * kPerClient);
-  EXPECT_EQ(hits + misses, total);
-  EXPECT_EQ(hits, engine.cache().hits());
-  EXPECT_EQ(misses, engine.cache().misses());
-  EXPECT_EQ(engine.metrics().histogram("query_latency_ns").count(), total);
+    const auto total = engine.metrics().counter("queries_total").value();
+    const auto hits = engine.metrics().counter("cache_hits").value();
+    const auto misses = engine.metrics().counter("cache_misses").value();
+    EXPECT_EQ(total, static_cast<std::uint64_t>(kClients) * kPerClient);
+    EXPECT_EQ(hits + misses, total);
+    EXPECT_EQ(hits, engine.cache().hits());
+    EXPECT_EQ(misses, engine.cache().misses());
+    EXPECT_EQ(engine.metrics().histogram("query_latency_ns").count(), total);
+  }
 }
 
-TEST(QueryEngine, ReplaceSnapshotSwapsOracleAndClearsCache) {
+TEST(ShardedEngine, ReplaceSnapshotSwapsOracleAndClearsCache) {
   auto first = std::make_shared<const oracle::PathOracle>(small_oracle(60));
   auto second = std::make_shared<const oracle::PathOracle>(
       small_oracle(60, 0.8));
-  QueryEngine engine(first);
-  engine.query(1, 2);
-  EXPECT_GT(engine.cache().size(), 0u);
-  engine.replace_snapshot(second);
-  EXPECT_EQ(engine.snapshot().get(), second.get());
-  EXPECT_EQ(engine.cache().size(), 0u);
-  EXPECT_EQ(engine.query(1, 2), second->query(1, 2));
-  EXPECT_THROW(engine.replace_snapshot(nullptr), std::invalid_argument);
+  auto other_size =
+      std::make_shared<const oracle::PathOracle>(small_oracle(40));
+  for (const std::size_t shards : kShardCounts) {
+    ShardedEngineOptions opts;
+    opts.shards = shards;
+    opts.cache_capacity = 1 << 10;
+    ShardedEngine engine(first, opts);
+    EXPECT_EQ(engine.num_vertices(), 60u);
+    engine.query(1, 2);
+    EXPECT_GT(engine.cache().size(), 0u);
+    engine.replace_snapshot(second);
+    EXPECT_EQ(engine.snapshot().get(), second.get());
+    EXPECT_EQ(engine.cache().size(), 0u);
+    EXPECT_EQ(engine.query(1, 2), second->query(1, 2));
+    EXPECT_THROW(engine.replace_snapshot(nullptr), std::invalid_argument);
+    // Vertex ids are validated against a fixed count, so it cannot change.
+    EXPECT_THROW(engine.replace_snapshot(other_size), std::invalid_argument);
+    EXPECT_EQ(engine.snapshot().get(), second.get());
+  }
 }
 
 // ------------------------------------------------- util satellites (threads)

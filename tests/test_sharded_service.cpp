@@ -22,9 +22,7 @@
 #include "separator/finders.hpp"
 #include "service/net.hpp"
 #include "service/net_server.hpp"
-#include "service/query_engine.hpp"
 #include "service/sharded_engine.hpp"
-#include "util/affinity.hpp"
 #include "util/epoch.hpp"
 #include "util/mpsc_ring.hpp"
 #include "util/rng.hpp"
@@ -222,17 +220,6 @@ TEST(EpochReclaimer, ConcurrentPinUnpinNeverFreesAPinnedObject) {
   while (epochs.retired_pending() != 0) epochs.try_reclaim();
 }
 
-// ------------------------------------------------------------------ Affinity
-
-TEST(Affinity, ReportsCoresAndPinningIsBestEffort) {
-  EXPECT_GE(util::num_cores(), 1u);
-#if defined(__linux__)
-  // On Linux pinning to an in-range core (modulo wrap) should succeed.
-  EXPECT_TRUE(util::pin_thread_to_core(0));
-  EXPECT_TRUE(util::pin_thread_to_core(util::num_cores() + 3));
-#endif
-}
-
 // ---------------------------------------------------------------- Wire codec
 
 TEST(Wire, ScalarsRoundTripLittleEndian) {
@@ -340,7 +327,7 @@ std::uint64_t fnv_digest(const std::vector<Weight>& results) {
 }
 
 std::map<std::string, std::uint64_t> counter_family(
-    const MetricsRegistry& metrics, const std::string& name) {
+    const obs::MetricsRegistry& metrics, const std::string& name) {
   std::map<std::string, std::uint64_t> family;
   for (const obs::MetricSample& sample : metrics.snapshot()) {
     if (sample.kind != obs::MetricKind::kCounter || sample.name != name)
@@ -359,16 +346,14 @@ std::uint64_t family_sum(const std::map<std::string, std::uint64_t>& family) {
   return sum;
 }
 
-TEST(ShardedEngine, MatchesThePooledEngineAtEveryShardCount) {
+TEST(ShardedEngine, MatchesTheSerialOracleAtEveryShardCount) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const std::vector<Query> batch =
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 3000);
 
-  QueryEngineOptions pooled_opts;
-  pooled_opts.threads = 1;
-  pooled_opts.cache_capacity = 0;
-  QueryEngine pooled(snapshot, pooled_opts);
-  const std::vector<Weight> expected = pooled.query_batch(batch);
+  std::vector<Weight> expected;
+  expected.reserve(batch.size());
+  for (const Query& q : batch) expected.push_back(snapshot->query(q.u, q.v));
   const std::uint64_t expected_digest = fnv_digest(expected);
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
@@ -623,40 +608,72 @@ TEST(NetServer, PipelinedFramesComeBackInOrder) {
   EXPECT_EQ(distances.size(), b.size());
 }
 
+/// Opens a raw TCP connection to 127.0.0.1:port, so a test can send bytes
+/// the NetClient refuses to produce. Returns the socket fd.
+int raw_connect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  return fd;
+}
+
+/// Sends `frame` on a raw connection and expects the server to close it.
+void expect_closed_after(std::uint16_t port,
+                         const std::vector<std::uint8_t>& frame) {
+  const int fd = raw_connect(port);
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+            static_cast<ssize_t>(frame.size()));
+  std::uint8_t byte;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "server should close on garbage";
+  ::close(fd);
+}
+
 TEST(NetServer, MalformedFrameClosesOnlyThatConnection) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
+  const auto n = static_cast<Vertex>(snapshot->num_vertices());
   ShardedEngineOptions opts;
   opts.shards = 1;
   ShardedEngine engine(snapshot, opts);
   NetServer server(engine);
   server.start();
 
-  // Raw socket so we can send a frame the NetClient refuses to produce.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-  std::vector<std::uint8_t> bad;
-  wire::append_u32(bad, 3);  // payload_len below the request_id minimum
-  ASSERT_EQ(::send(fd, bad.data(), bad.size(), 0),
-            static_cast<ssize_t>(bad.size()));
-  std::uint8_t byte;
-  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "server should close on garbage";
-  ::close(fd);
+  // A connection opened before the bad ones must keep being served.
+  wire::NetClient bystander;
+  bystander.connect("127.0.0.1", server.port());
+  std::vector<Weight> distances;
+  bystander.query_batch(std::vector<Query>{{0, 3}}, distances);
+  ASSERT_EQ(distances.size(), 1u);
 
-  // The listener survives: a well-formed connection still round-trips.
+  std::vector<std::uint8_t> short_frame;
+  wire::append_u32(short_frame, 3);  // payload_len below the request_id minimum
+  expect_closed_after(server.port(), short_frame);
+
+  // Well-formed frames whose vertex ids lie outside the snapshot: the
+  // server must reject them instead of indexing past its labels.
+  for (const Query bad : {Query{0xFFFFFFF0u, 1}, Query{1, n}}) {
+    std::vector<std::uint8_t> frame;
+    wire::append_request(frame, 7, std::vector<Query>{{0, 1}, bad});
+    expect_closed_after(server.port(), frame);
+  }
+
+  // The listener survives: a new connection still round-trips, and so does
+  // the one opened before the bad frames.
   wire::NetClient client;
   client.connect("127.0.0.1", server.port());
-  std::vector<Weight> distances;
-  client.query_batch(std::vector<Query>{{0, 3}}, distances);
-  ASSERT_EQ(distances.size(), 1u);
+  client.query_batch(std::vector<Query>{{0, 3}, {n - 1, 0}}, distances);
+  ASSERT_EQ(distances.size(), 2u);
   EXPECT_EQ(distances[0], engine.query(0, 3));
-  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  EXPECT_EQ(distances[1], engine.query(n - 1, 0));
+  bystander.query_batch(std::vector<Query>{{2, 5}}, distances);
+  ASSERT_EQ(distances.size(), 1u);
+  EXPECT_EQ(distances[0], engine.query(2, 5));
+  EXPECT_EQ(server.stats().protocol_errors, 3u);
 }
 
 TEST(NetServer, StopIsIdempotentAndRestartable) {
