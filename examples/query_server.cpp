@@ -1,36 +1,35 @@
-// Query server: build or load a distance-oracle snapshot, then serve
-// (u, v) distance queries through the shard-per-core ShardedEngine, either
-// to an in-process closed-loop multi-threaded load generator or over TCP.
+// Query server: build or load a distance-oracle snapshot, optionally save
+// and verify it, then serve (u, v) distance queries over TCP through the
+// shard-per-core ShardedEngine and the epoll front-end.
 //
-//   # build from a planar grid, save the snapshot, serve for 3 seconds
-//   ./query_server --side=64 --eps=0.25 --save=grid.snapshot --duration=3
-//
-//   # cold-start from the snapshot (no rebuild) and serve again
-//   ./query_server --load=grid.snapshot --duration=3
+//   # build from a planar grid and save the snapshot
+//   ./query_server --side=64 --eps=0.25 --save=grid.snapshot
 //
 //   # prove the loaded oracle is bit-identical to a fresh build
 //   ./query_server --load=grid.snapshot --side=64 --eps=0.25 --verify
 //
-//   # serve the binary wire protocol on a TCP port (sharded engine + epoll
-//   # front-end); drive it with `bench_service --loadgen --connect=...`
-//   ./query_server --side=64 --serve=9917 --serve-duration=30
+//   # cold-start from the snapshot (no rebuild) and serve the binary wire
+//   # protocol on a TCP port for 30 seconds
+//   ./query_server --load=grid.snapshot --serve=9917 --serve-duration=30
 //
-// Flags: --side (grid side length), --eps, --shards (engine worker count;
-// 0 = all cores, PATHSEP_THREADS honored; 1 answers every batch on the
-// calling client thread), --clients (load-generator threads), --batch
-// (queries per client
-// batch), --duration (seconds), --pairs (distinct query pairs), --zipf
-// (skew exponent; 0 = uniform), --cache (entries; 0 disables),
+// Serving performance is measured by perfbench/ (python3 perfbench/run.py),
+// which drives this binary with --load --serve=0 --shards --serve-duration.
+//
+// Flags: --side (grid side length), --eps, --seed (sample seed of --verify),
 // --save/--load/--verify, --serve=PORT (listen on 127.0.0.1:PORT — 0 picks
-// an ephemeral port — and serve the length-prefixed binary protocol instead
-// of running the in-process load loop),
-// --serve-duration (seconds to stay up; default 30), --statsz=json|prom
-// (render the /statsz payload — engine metrics merged with the process-wide
-// obs registry, plus the windowed latency view and slow-log in json format —
-// after serving), --trace (record trace spans while serving: batch spans
-// plus tail-sampled slow-query exemplars), --trace-out=<path> (write the
-// recorded spans as Perfetto-loadable Chrome trace_event JSON; implies
-// --trace).
+// an ephemeral port — and serve the length-prefixed binary protocol;
+// without it the tool exits after build/load, save and verify),
+// --serve-duration (seconds to stay up; default 30), --shards (engine
+// worker count; 0 = all cores, PATHSEP_THREADS honored; 1 answers every
+// frame on the event-loop thread), --cache (result-cache entries; 0
+// disables), --statsz=json|prom (render the /statsz payload — engine
+// metrics merged with the process-wide obs registry, plus the windowed
+// latency view and slow-log in json format — after serving), --trace
+// (record trace spans while serving: batch spans plus tail-sampled
+// slow-query exemplars), --trace-out=<path> (write the recorded spans as
+// Perfetto-loadable Chrome trace_event JSON; implies --trace). Flags the
+// tool does not know are reported as "warning: unused flag" before any
+// work.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -85,21 +84,11 @@ std::string render_statsz(const obs::MetricsRegistry& metrics,
   return json;
 }
 
-}  // namespace
-
-namespace {
-
 int run(int argc, char** argv) {
   util::Args args(argc, argv);
   const auto side = static_cast<std::size_t>(args.get_int("side", 64));
   const double eps = args.get_double("eps", 0.25);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto clients = static_cast<std::size_t>(args.get_int("clients", 4));
-  const auto batch = static_cast<std::size_t>(args.get_int("batch", 512));
-  const double duration = args.get_double("duration", 3.0);
-  const auto pairs = static_cast<std::size_t>(args.get_int("pairs", 100000));
-  const double zipf_s = args.get_double("zipf", 1.1);
-  const auto cache = static_cast<std::size_t>(args.get_int("cache", 1 << 16));
   const std::string save_path = args.get("save");
   const std::string load_path = args.get("load");
   const bool verify = args.get_bool("verify");
@@ -107,9 +96,12 @@ int run(int argc, char** argv) {
   const std::string trace_out = args.get("trace-out");
   const bool trace = args.get_bool("trace") || !trace_out.empty();
   const auto shards = static_cast<std::size_t>(args.get_int("shards", 0));
+  const auto cache = static_cast<std::size_t>(args.get_int("cache", 1 << 16));
   const bool serve = args.has("serve");
   const auto serve_port = static_cast<std::uint16_t>(args.get_int("serve", 0));
   const double serve_duration = args.get_double("serve-duration", 30.0);
+  for (const std::string& flag : args.unused())
+    std::fprintf(stderr, "warning: unused flag --%s\n", flag.c_str());
   if (!statsz.empty() && statsz != "json" && statsz != "prom") {
     std::fprintf(stderr, "error: --statsz must be json or prom\n");
     return 1;
@@ -168,146 +160,48 @@ int run(int argc, char** argv) {
     std::printf("verify: all labels and 1000 sampled queries bit-identical\n");
   }
 
-  if (!serve && duration <= 0) return 0;
+  if (!serve) return 0;
 
+  // 3. --serve: expose the engine over the binary wire protocol on a TCP
+  // port and stay up for --serve-duration seconds. The listening line is
+  // printed (and flushed) first so a wrapper script can parse the port
+  // before pointing a load generator at it. --trace brackets exactly this
+  // window, so build and load spans stay out of the trace.
   service::ShardedEngineOptions engine_options;
   engine_options.shards = shards;
   engine_options.cache_capacity = cache;
   service::ShardedEngine engine(snapshot, engine_options);
-
-  // 3a. --serve: expose the engine over the binary wire protocol on a TCP
-  // port and stay up for --serve-duration seconds. The listening line is
-  // printed (and flushed) first so a wrapper script can parse the port
-  // before pointing a load generator at it.
-  if (serve) {
-    service::NetServerOptions net_options;
-    net_options.port = serve_port;
-    service::NetServer server(engine, net_options);
-    server.start();
-    std::printf("listening on %s:%u (%zu shards, %.1fs)\n",
-                server.host().c_str(), server.port(), engine.num_shards(),
-                serve_duration);
-    std::fflush(stdout);
-    const util::Timer wall;
-    while (wall.elapsed_seconds() < serve_duration)
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    server.stop();
-    const service::NetServer::Stats stats = server.stats();
-    std::printf(
-        "served %llu queries in %llu frames over %llu connections "
-        "(%llu protocol errors, %.1f MiB in, %.1f MiB out)\n",
-        static_cast<unsigned long long>(stats.queries_answered),
-        static_cast<unsigned long long>(stats.frames_in),
-        static_cast<unsigned long long>(stats.connections_accepted),
-        static_cast<unsigned long long>(stats.protocol_errors),
-        static_cast<double>(stats.bytes_in) / (1024.0 * 1024.0),
-        static_cast<double>(stats.bytes_out) / (1024.0 * 1024.0));
-    const auto& latency = engine.metrics().histogram("query_latency_ns");
-    std::printf("  latency p50 %.1f us, p99 %.1f us\n",
-                latency.percentile_nanos(0.50) / 1000.0,
-                latency.percentile_nanos(0.99) / 1000.0);
-    if (!statsz.empty())
-      std::printf("\nstatsz (%s):\n%s", statsz.c_str(),
-                  render_statsz(engine.metrics(), engine.window(),
-                                engine.slowlog(), statsz)
-                      .c_str());
-    return 0;
-  }
-
-  // 3b. Closed-loop load generation: each client thread draws pairs from a
-  // Zipf-ranked pool (the skew a real object-location service sees) and
-  // submits fixed-size batches until the deadline; the engine routes each
-  // pair to its owning shard through the lock-free intake rings.
-  const auto n = static_cast<std::uint64_t>(snapshot->num_vertices());
-  util::Rng pool_rng(seed);
-  std::vector<service::Query> pair_pool;
-  pair_pool.reserve(pairs);
-  for (std::size_t i = 0; i < pairs; ++i)
-    pair_pool.push_back({static_cast<graph::Vertex>(pool_rng.next_below(n)),
-                         static_cast<graph::Vertex>(pool_rng.next_below(n))});
-  const util::ZipfSampler zipf(pair_pool.size(), zipf_s);
-
-  std::printf(
-      "serving: %zu shards, %zu clients, batch %zu, %zu pairs (zipf s=%.2f), "
-      "cache %zu entries, %.1fs...%s\n",
-      engine.num_shards(), clients, batch, pairs, zipf_s, cache, duration,
-      trace ? " (tracing)" : "");
+  service::NetServerOptions net_options;
+  net_options.port = serve_port;
+  service::NetServer server(engine, net_options);
   if (trace) obs::set_trace_enabled(true);
-
-  std::vector<std::thread> load;
-  std::vector<std::uint64_t> answered(clients, 0);
-  util::Timer wall;
-  for (std::size_t c = 0; c < clients; ++c)
-    load.emplace_back([&, c] {
-      util::Rng rng(seed + 1000 * (c + 1));
-      std::vector<service::Query> queries(batch);
-      while (wall.elapsed_seconds() < duration) {
-        for (service::Query& q : queries) q = pair_pool[zipf.sample(rng)];
-        const auto results = engine.query_batch(queries);
-        answered[c] += results.size();
-      }
-    });
-  for (std::thread& t : load) t.join();
-  const double elapsed = wall.elapsed_seconds();
-
-  // Non-const: MetricsRegistry::histogram is get-or-create.
-  obs::MetricsRegistry& engine_metrics = engine.metrics();
-  const service::ResultCache& engine_cache = engine.cache();
-  const obs::WindowedHistogram& engine_window = engine.window();
-  const obs::SlowLog& engine_slowlog = engine.slowlog();
-
-  std::uint64_t total = 0;
-  for (const std::uint64_t a : answered) total += a;
-  const auto& latency = engine_metrics.histogram("query_latency_ns");
-  std::printf("\nserved %llu queries in %.2fs\n",
-              static_cast<unsigned long long>(total), elapsed);
-  std::printf("  QPS            %.0f\n",
-              static_cast<double>(total) / elapsed);
-  std::printf("  latency p50    %.1f us\n",
-              latency.percentile_nanos(0.50) / 1000.0);
-  std::printf("  latency p95    %.1f us\n",
-              latency.percentile_nanos(0.95) / 1000.0);
-  std::printf("  latency p99    %.1f us\n",
+  server.start();
+  std::printf("listening on %s:%u (%zu shards, %.1fs)%s\n",
+              server.host().c_str(), server.port(), engine.num_shards(),
+              serve_duration, trace ? " (tracing)" : "");
+  std::fflush(stdout);
+  const util::Timer wall;
+  while (wall.elapsed_seconds() < serve_duration)
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.stop();
+  const service::NetServer::Stats stats = server.stats();
+  std::printf(
+      "served %llu queries in %llu frames over %llu connections "
+      "(%llu protocol errors, %.1f MiB in, %.1f MiB out)\n",
+      static_cast<unsigned long long>(stats.queries_answered),
+      static_cast<unsigned long long>(stats.frames_in),
+      static_cast<unsigned long long>(stats.connections_accepted),
+      static_cast<unsigned long long>(stats.protocol_errors),
+      static_cast<double>(stats.bytes_in) / (1024.0 * 1024.0),
+      static_cast<double>(stats.bytes_out) / (1024.0 * 1024.0));
+  const auto& latency = engine.metrics().histogram("query_latency_ns");
+  std::printf("  latency p50 %.1f us, p99 %.1f us\n",
+              latency.percentile_nanos(0.50) / 1000.0,
               latency.percentile_nanos(0.99) / 1000.0);
-  std::printf("  cache hit rate %.1f%% (%llu hits / %llu misses)\n",
-              100.0 * engine_cache.hit_rate(),
-              static_cast<unsigned long long>(engine_cache.hits()),
-              static_cast<unsigned long long>(engine_cache.misses()));
-
-  // Tail attribution: the rolling windowed view next to the cumulative
-  // percentiles above, and the slowest exemplars with their cost stats.
-  const obs::WindowedHistogram::View wview =
-      engine_window.view(obs::window_now_ns());
-  std::printf("  windowed       qps %.0f, p50 %.1f us, p99 %.1f us "
-              "(last %zu x %.0fs window%s)\n",
-              wview.qps, wview.p50_nanos / 1000.0, wview.p99_nanos / 1000.0,
-              wview.windows, static_cast<double>(wview.interval_ns) / 1e9,
-              wview.windows == 1 ? "" : "s");
-  const std::vector<obs::SlowQuery> slow = engine_slowlog.snapshot();
-  const auto outcome_name = [](obs::SlowQuery::Outcome outcome) {
-    switch (outcome) {
-      case obs::SlowQuery::Outcome::kCached: return "cached";
-      case obs::SlowQuery::Outcome::kSelf: return "self";
-      case obs::SlowQuery::Outcome::kUnreachable: return "unreachable";
-      default: return "oracle";
-    }
-  };
-  std::printf("\nslow-log (top %zu of %llu admitted):\n",
-              std::min<std::size_t>(slow.size(), 5),
-              static_cast<unsigned long long>(engine_slowlog.admitted()));
-  for (std::size_t i = 0; i < slow.size() && i < 5; ++i)
-    std::printf("  (%u, %u) %.1f us, %u entries scanned, level %d, %s%s\n",
-                slow[i].u, slow[i].v,
-                static_cast<double>(slow[i].latency_ns) / 1000.0,
-                slow[i].entries_scanned, slow[i].win_level,
-                outcome_name(slow[i].outcome),
-                slow[i].span_id != 0 ? " [exemplar span]" : "");
-
-  std::printf("\nmetrics:\n%s", engine_metrics.report().c_str());
 
   if (trace) {
-    const std::vector<obs::SpanRecord> spans = obs::drain_spans();
     obs::set_trace_enabled(false);
+    const std::vector<obs::SpanRecord> spans = obs::drain_spans();
     std::printf("\ntrace: %zu spans recorded, %llu dropped\n", spans.size(),
                 static_cast<unsigned long long>(obs::dropped_spans()));
     if (!trace_out.empty()) {
@@ -321,13 +215,9 @@ int run(int argc, char** argv) {
 
   if (!statsz.empty())
     std::printf("\nstatsz (%s):\n%s", statsz.c_str(),
-                render_statsz(engine_metrics, engine_window, engine_slowlog,
-                              statsz)
+                render_statsz(engine.metrics(), engine.window(),
+                              engine.slowlog(), statsz)
                     .c_str());
-
-  const auto unused = args.unused();
-  for (const std::string& flag : unused)
-    std::fprintf(stderr, "warning: unused flag --%s\n", flag.c_str());
   return 0;
 }
 

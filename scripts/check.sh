@@ -8,7 +8,8 @@
 # Steps:
 #   release  strict-warnings (-Werror) build, ctest twice — plain and with
 #            PATHSEP_AUDIT=1 so every deep invariant validator runs
-#   asan     AddressSanitizer + UndefinedBehaviorSanitizer build, full ctest
+#   asan     AddressSanitizer + UndefinedBehaviorSanitizer build without
+#            NDEBUG (so every PATHSEP_DCHECK is evaluated), full ctest
 #   tsan     ThreadSanitizer build, ctest -L 'service|parallel|obs|flow' (the
 #            concurrent query layer, the parallel construction pipeline, the
 #            observability layer's cross-thread recording, and the flow
@@ -16,19 +17,12 @@
 #   obsoff   PATHSEP_OBS_DISABLED build with -Werror — proves every
 #            instrumentation call site compiles out cleanly — plus
 #            ctest -L obs (the obs suite adapts to the compiled-out mode)
-#   bench    bench_build --quick determinism smoke: tiny instances, 1 thread
-#            vs the machine default, exits non-zero if any thread count
-#            changes the label digest (catches scheduling regressions that
-#            break the byte-identical-labels guarantee)
-#   smoke    localhost serving round-trip: query_server --serve on an
-#            ephemeral port driven by bench_service --loadgen --verify, so
-#            the epoll front-end + wire codec + sharded engine answer real
-#            socket traffic with digest-checked results
-#            (scripts/serve_smoke.sh)
 #   perfbench  python3 perfbench/test_checks.py: builds the end-to-end
 #            benchmark (perfbench/, which compiles against the library's
 #            public API) and runs its tiny clean runs plus the corruption
-#            runs each output check must catch
+#            runs each output check must catch. This is the serving
+#            round trip: query_server --serve over real sockets, with every
+#            wire answer checked against PathOracle::query
 #   tsa      Clang Thread Safety Analysis: clang++ build with -Wthread-safety
 #            -Werror=thread-safety-analysis over the PATHSEP_GUARDED_BY /
 #            PATHSEP_REQUIRES annotations (util/thread_annotations.hpp) —
@@ -41,6 +35,8 @@
 #   tidy     clang-tidy over src/, tests/ and examples/ via the `tidy`
 #            target (no-op with a notice when clang-tidy is not installed)
 #
+# An unknown step name exits 2 with the list of valid steps.
+#
 # Every step uses its own CMake preset/binary dir (see CMakePresets.json),
 # so the matrix never invalidates an incremental developer build other than
 # `build/` itself (the release preset owns that directory).
@@ -48,8 +44,18 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS=${JOBS:-$(nproc 2>/dev/null || echo 4)}
+ALL_STEPS=(release asan tsan obsoff tsa perfbench lint tidy)
 STEPS=("$@")
-[ ${#STEPS[@]} -eq 0 ] && STEPS=(release asan tsan obsoff tsa bench smoke perfbench lint tidy)
+[ ${#STEPS[@]} -eq 0 ] && STEPS=("${ALL_STEPS[@]}")
+for step in "${STEPS[@]}"; do
+  case " ${ALL_STEPS[*]} " in
+    *" $step "*) ;;
+    *)
+      echo "check.sh: unknown step '$step'; valid steps: ${ALL_STEPS[*]}" >&2
+      exit 2
+      ;;
+  esac
+done
 
 banner() { printf '\n=== %s ===\n' "$*"; }
 
@@ -68,7 +74,7 @@ if want release; then
 fi
 
 if want asan; then
-  banner "asan: AddressSanitizer + UBSan build + full ctest"
+  banner "asan: AddressSanitizer + UBSan build (DCHECKs live) + full ctest"
   cmake --preset asan-ubsan
   cmake --build build-asan-ubsan -j "$JOBS"
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$JOBS"
@@ -96,18 +102,6 @@ if want tsa; then
   else
     echo "clang++ not found — tsa step skipped (annotations still compile"          "to nothing under GCC; the release step proves that)"
   fi
-fi
-
-if want bench; then
-  banner "bench: bench_build --quick determinism smoke (digests across threads)"
-  scripts/bench_build.sh --quick
-fi
-
-if want smoke; then
-  banner "smoke: query_server --serve / bench_service --loadgen round-trip"
-  cmake --preset release
-  cmake --build build --target query_server bench_service -j "$JOBS"
-  scripts/serve_smoke.sh
 fi
 
 if want perfbench; then

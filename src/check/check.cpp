@@ -30,12 +30,8 @@ FailureMode failure_mode() {
 void abort_on_failure() { set_failure_mode(FailureMode::kAbort); }
 
 bool audit_enabled() {
-#ifdef PATHSEP_AUDIT_BUILD
-  return true;
-#else
   static const bool enabled = audit_env_enabled();
   return enabled;
-#endif
 }
 
 void fail(const char* kind, const char* expression, const char* file, int line,

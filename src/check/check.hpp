@@ -6,10 +6,8 @@
 //   PATHSEP_DCHECK(cond, ...)  debug-only (compiled out under NDEBUG);
 //                              for checks too hot for release builds.
 //   PATHSEP_AUDIT(stmt)        opt-in deep validation. The statement runs
-//                              only when auditing is enabled — either the
-//                              whole build was configured with
-//                              -DPATHSEP_AUDIT=ON, or the process runs with
-//                              environment PATHSEP_AUDIT=1. Producing
+//                              only when the process runs with environment
+//                              PATHSEP_AUDIT=1 (any build). Producing
 //                              modules wrap a call to their subsystem's
 //                              validator (see check/audit.hpp) in this.
 //
@@ -45,9 +43,9 @@ FailureMode failure_mode();
 /// Convenience for tools: equivalent to set_failure_mode(kAbort).
 void abort_on_failure();
 
-/// True when deep audits should run: compiled in via -DPATHSEP_AUDIT=ON
-/// (which defines PATHSEP_AUDIT_BUILD) or requested at runtime with
-/// environment variable PATHSEP_AUDIT=1 (read once, cached).
+/// True when deep audits should run: requested with environment variable
+/// PATHSEP_AUDIT=1 (read once, cached). The environment is the only switch,
+/// so every build, sanitizer legs included, can audit without a rebuild.
 bool audit_enabled();
 
 /// Reports a failed check and either throws or aborts per failure_mode().

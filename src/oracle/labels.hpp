@@ -61,8 +61,9 @@ struct QueryCost {
 Weight query_labels(const DistanceLabel& u, const DistanceLabel& v,
                     QueryCost& cost);
 
-/// Per-phase wall-clock breakdown of one build_labels call, for benchmarks
-/// and regression attribution (bench_build records it per run).
+/// Per-phase wall-clock breakdown of one build_labels call, for regression
+/// attribution (perfbench reports it as oracle.connections_s and
+/// oracle.assemble_s on its build_road workload).
 struct BuildLabelsStats {
   double connections_seconds = 0;  ///< projections + portal Dijkstras
   double assemble_seconds = 0;     ///< per-vertex part assembly

@@ -66,7 +66,6 @@ class AnswerPath {
 
   const obs::WindowedHistogram& window() const { return window_; }
   const obs::SlowLog& slowlog() const { return slowlog_; }
-  std::size_t num_level_counters() const { return answers_level_.size(); }
 
  private:
   /// The shared body: answers with `t0` as the start reading and returns

@@ -1,5 +1,5 @@
 // Binary wire protocol for the query service, plus the blocking client the
-// load generator and tests drive it with.
+// NetServer tests drive it with (perfbench/ has its own client).
 //
 // Framing (all integers little-endian):
 //

@@ -212,17 +212,6 @@ std::vector<graph::Weight> ShardedEngine::query_batch(
   return results;
 }
 
-void ShardedEngine::submit_batch(std::span<const Query> queries,
-                                 graph::Weight* results,
-                                 std::atomic<std::uint32_t>* remaining) {
-  if (queries.empty()) return;
-  batches_total_->inc();
-  const std::size_t slot = epochs_.pin_any();
-  const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);
-  dispatch_batch(*snap, queries, results, remaining);
-  epochs_.unpin(slot);
-}
-
 graph::Weight ShardedEngine::query(graph::Vertex u, graph::Vertex v) {
   const std::size_t slot = epochs_.pin_any();
   const oracle::PathOracle* snap = live_.load(std::memory_order_acquire);

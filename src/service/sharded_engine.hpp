@@ -98,14 +98,6 @@ class ShardedEngine {
   /// Allocating convenience wrapper over query_batch_into.
   std::vector<graph::Weight> query_batch(std::span<const Query> queries);
 
-  /// Asynchronous submission for open-loop load generation: enqueues the
-  /// batch (inline-answering overflow) and returns without waiting.
-  /// `remaining` must be initialized to queries.size() by the caller and
-  /// stays owned by the caller until it reaches zero; results are readable
-  /// (with acquire) once it does.
-  void submit_batch(std::span<const Query> queries, graph::Weight* results,
-                    std::atomic<std::uint32_t>* remaining);
-
   /// Epoch-based hot swap: queries already in flight finish against the
   /// snapshot they pinned; the old snapshot is destroyed only after every
   /// reader drained. Throws std::invalid_argument on null or on a snapshot
@@ -138,14 +130,11 @@ class ShardedEngine {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   const obs::WindowedHistogram& window() const { return path_.window(); }
   const obs::SlowLog& slowlog() const { return path_.slowlog(); }
-  std::size_t num_level_counters() const {
-    return path_.num_level_counters();
-  }
 
  private:
   /// One intake ring entry. POD (the ring copies it twice); the pointers
   /// stay valid until `remaining` reaches zero — guaranteed by the waiter
-  /// in query_batch_into / the submit_batch contract.
+  /// in query_batch_into.
   struct Request {
     graph::Vertex u = 0;
     graph::Vertex v = 0;

@@ -1,8 +1,6 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace pathsep::util {
 
@@ -107,26 +105,6 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
 Rng Rng::split() {
   std::uint64_t s = (*this)();
   return Rng(s);
-}
-
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  assert(n > 0);
-  assert(s >= 0);
-  cdf_.resize(n);
-  double total = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    total += std::pow(static_cast<double>(k + 1), -s);
-    cdf_[k] = total;
-  }
-  for (double& c : cdf_) c /= total;
-  cdf_.back() = 1.0;  // defend the binary search against rounding
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return it == cdf_.end() ? cdf_.size() - 1
-                          : static_cast<std::size_t>(it - cdf_.begin());
 }
 
 }  // namespace pathsep::util

@@ -73,21 +73,4 @@ class Rng {
 /// splitmix64 step, exposed for tests and for hashing-based seeding.
 std::uint64_t splitmix64(std::uint64_t& state);
 
-/// Zipf-distributed rank sampler: P(rank = k) proportional to 1/(k+1)^s for
-/// ranks 0..n-1. Precomputes the CDF once (O(n)), samples by binary search
-/// (O(log n)). Models the skewed repeat-heavy query workloads a serving
-/// cache sees; s around 1 is the classic web/P2P popularity skew.
-class ZipfSampler {
- public:
-  /// Requires n > 0 and s >= 0 (s = 0 degenerates to uniform).
-  ZipfSampler(std::size_t n, double s);
-
-  std::size_t sample(Rng& rng) const;
-
-  std::size_t size() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;  ///< cdf_[k] = P(rank <= k), cdf_.back() == 1
-};
-
 }  // namespace pathsep::util

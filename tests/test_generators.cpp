@@ -254,6 +254,13 @@ struct FamilyCase {
   std::size_t n;
 };
 
+// Without this gtest prints the raw bytes of the case, `name` pointer
+// included, into the CTest-registered test name, which then changes from
+// build to build.
+void PrintTo(const FamilyCase& c, std::ostream* os) {
+  *os << c.name << " n=" << c.n;
+}
+
 class FamilyConnectivity : public ::testing::TestWithParam<FamilyCase> {};
 
 TEST_P(FamilyConnectivity, GeneratedGraphIsConnectedWithRightOrder) {

@@ -54,6 +54,12 @@ struct SeededCase {
   const char* rule;
 };
 
+// Without this gtest prints the raw bytes of the case, two pointers, into
+// the CTest-registered test name, which then changes from build to build.
+void PrintTo(const SeededCase& c, std::ostream* os) {
+  *os << c.file << " [" << c.rule << "]";
+}
+
 class LintSeededViolation : public ::testing::TestWithParam<SeededCase> {};
 
 TEST_P(LintSeededViolation, FlaggedExactlyOnceWithItsRule) {

@@ -639,24 +639,51 @@ TEST(ObsAttribution, EngineWindowAndSlowLogSeeTheWorkload) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const std::vector<Query> batch =
       mixed_workload(static_cast<Vertex>(snapshot->num_vertices()), 500);
-  for (const std::size_t shards : {1u, 2u, 8u}) {
-    ShardedEngineOptions opts;
-    opts.shards = shards;
-    opts.cache_capacity = 0;
-    opts.slowlog_capacity = 8;
-    ShardedEngine engine(snapshot, opts);
-    engine.query_batch(batch);
+  // The tracing pass proves tail sampling fires through the engine: an
+  // admitted slow query commits its exemplar span and keeps the span id.
+  for (const bool tracing : {false, true}) {
+    obs::drain_spans();
+    obs::set_trace_enabled(tracing);
+    for (const std::size_t shards : {1u, 2u, 8u}) {
+      ShardedEngineOptions opts;
+      opts.shards = shards;
+      opts.cache_capacity = 0;
+      opts.slowlog_capacity = 8;
+      ShardedEngine engine(snapshot, opts);
+      engine.query_batch(batch);
 
-    // Real clock: the samples all land within the (1s) window lookback.
-    const auto view = engine.window().view(obs::window_now_ns());
-    EXPECT_EQ(view.count, batch.size()) << shards << " shards";
-    const std::vector<obs::SlowQuery> top = engine.slowlog().snapshot();
-    ASSERT_FALSE(top.empty());
-    ASSERT_LE(top.size(), 8u);
-    for (const obs::SlowQuery& e : top) {
-      EXPECT_LT(e.u, snapshot->num_vertices());
-      EXPECT_GT(e.latency_ns, 0u);
+      // Real clock: the samples all land within the (1s) window lookback.
+      // A sample that loses the claim race on a fresh window slot is
+      // dropped and counted (obs/window.hpp). At most shards + 1 threads
+      // record (the workers, plus the caller on a full ring), so one fresh
+      // slot drops at most `shards` samples, and a batch that takes
+      // milliseconds touches at most two windows.
+      const auto view = engine.window().view(obs::window_now_ns());
+      const std::uint64_t dropped = engine.window().dropped();
+      EXPECT_GT(view.count, 0u) << shards << " shards";
+      EXPECT_LE(dropped, 2 * shards) << shards << " shards";
+      EXPECT_EQ(view.count + dropped, batch.size()) << shards << " shards";
+      const std::vector<obs::SlowQuery> top = engine.slowlog().snapshot();
+      ASSERT_FALSE(top.empty());
+      ASSERT_LE(top.size(), 8u);
+      std::size_t with_span = 0;
+      for (const obs::SlowQuery& e : top) {
+        EXPECT_LT(e.u, snapshot->num_vertices());
+        EXPECT_GT(e.latency_ns, 0u);
+        if (e.span_id != 0) ++with_span;
+      }
+#ifdef PATHSEP_OBS_DISABLED
+      // The exemplar commit is an instrumentation call site: compiled out.
+      EXPECT_EQ(with_span, 0u) << shards << " shards";
+#else
+      if (tracing)
+        EXPECT_GT(with_span, 0u) << shards << " shards";
+      else
+        EXPECT_EQ(with_span, 0u) << shards << " shards";
+#endif
     }
+    obs::set_trace_enabled(false);
+    obs::drain_spans();
   }
 }
 

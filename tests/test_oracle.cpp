@@ -142,6 +142,23 @@ TEST(PathOracle, QueryCountsVisitedConnections) {
   EXPECT_LT(stats.entries_scanned, 500u);  // O(k/eps log n), far below n^2
 }
 
+#ifndef NDEBUG
+// Compiled only where PATHSEP_DCHECK is live (the asan-ubsan preset builds
+// without NDEBUG): the documented id-range precondition of both query
+// entry points must trip instead of indexing past the labels.
+TEST(PathOracle, OutOfRangeQueryTripsTheDcheck) {
+  const graph::GridGraph gg = graph::grid(6, 6);
+  const hierarchy::DecompositionTree tree(gg.graph,
+                                          separator::GridLineSeparator(6, 6));
+  const PathOracle oracle(tree, 0.5);
+  const auto n = static_cast<Vertex>(oracle.num_vertices());
+  QueryStats stats;
+  EXPECT_THROW(static_cast<void>(oracle.query(n, 0)), check::CheckFailure);
+  EXPECT_THROW(static_cast<void>(oracle.query_stats(0, n, stats)),
+               check::CheckFailure);
+}
+#endif
+
 TEST(PathOracle, LabelSizeGrowsSubLinearly) {
   std::vector<double> avg;
   for (std::size_t side : {8u, 16u}) {

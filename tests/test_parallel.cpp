@@ -70,20 +70,34 @@ std::vector<std::uint8_t> build_serialized(
 
 // ------------------------------------------------------------- determinism
 
+// The 48x48 grid and the 2,500-vertex triangulation are the smallest inputs
+// whose root stage reaches the intra-node portal fan-out of
+// compute_connections (>= 4 portals on >= 2,048 vertices); the small ones
+// stay serial inside every stage and cover only the per-node scheduling.
 TEST(ParallelBuild, GridOracleBytesIdenticalAcrossThreadCounts) {
-  const graph::GridGraph gg = graph::grid(16, 16);
-  const separator::GridLineSeparator finder(16, 16);
-  const auto serial = build_serialized(gg.graph, finder, 1);
-  EXPECT_EQ(serial, build_serialized(gg.graph, finder, 2));
-  EXPECT_EQ(serial, build_serialized(gg.graph, finder, 8));
+  for (const std::size_t side : {16u, 48u}) {
+    const graph::GridGraph gg = graph::grid(side, side);
+    const separator::GridLineSeparator finder(side, side);
+    const auto serial = build_serialized(gg.graph, finder, 1);
+    EXPECT_EQ(serial, build_serialized(gg.graph, finder, 2)) << side;
+    EXPECT_EQ(serial, build_serialized(gg.graph, finder, 8)) << side;
+  }
 }
 
 TEST(ParallelBuild, PlanarOracleBytesIdenticalAcrossThreadCounts) {
-  util::Rng rng(71);
-  const auto gg = graph::random_apollonian(400, rng);
-  const separator::PlanarCycleSeparator finder(gg.positions);
-  const auto serial = build_serialized(gg.graph, finder, 1);
-  EXPECT_EQ(serial, build_serialized(gg.graph, finder, 8));
+  struct Case {
+    std::size_t n;
+    std::uint64_t seed;
+    graph::WeightSpec weights;
+  };
+  for (const Case& c : {Case{400, 71, graph::WeightSpec::unit()},
+                        Case{2500, 12345, graph::WeightSpec::euclidean()}}) {
+    util::Rng rng(c.seed);
+    const auto gg = graph::random_apollonian(c.n, rng, c.weights);
+    const separator::PlanarCycleSeparator finder(gg.positions);
+    const auto serial = build_serialized(gg.graph, finder, 1);
+    EXPECT_EQ(serial, build_serialized(gg.graph, finder, 8)) << c.n;
+  }
 }
 
 TEST(ParallelBuild, KTreeOracleBytesIdenticalAcrossThreadCounts) {

@@ -517,21 +517,5 @@ TEST(DefaultThreads, ParallelForUsesEnvOverride) {
   EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(Zipf, SamplesAreSkewedTowardLowRanks) {
-  util::Rng rng(13);
-  const util::ZipfSampler zipf(1000, 1.1);
-  std::size_t low = 0;
-  constexpr int kSamples = 20000;
-  for (int i = 0; i < kSamples; ++i)
-    if (zipf.sample(rng) < 10) ++low;
-  // Top-10 mass under s=1.1 over 1000 ranks is ~40%; uniform would be 1%.
-  EXPECT_GT(low, kSamples / 5);
-  const util::ZipfSampler uniform(1000, 0.0);
-  std::size_t low_uniform = 0;
-  for (int i = 0; i < kSamples; ++i)
-    if (uniform.sample(rng) < 10) ++low_uniform;
-  EXPECT_LT(low_uniform, kSamples / 20);
-}
-
 }  // namespace
 }  // namespace pathsep::service

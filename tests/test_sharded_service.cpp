@@ -391,27 +391,6 @@ TEST(ShardedEngine, InlineAndSingleQueryPathsAgreeWithTheRings) {
   EXPECT_EQ(engine.shard_of(3, 17), engine.shard_of(17, 3));
 }
 
-TEST(ShardedEngine, SubmitBatchCompletesAsynchronously) {
-  auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
-  const auto n = static_cast<Vertex>(snapshot->num_vertices());
-  const std::vector<Query> batch = mixed_workload(n, 512, 37);
-
-  ShardedEngineOptions opts;
-  opts.shards = 2;
-  opts.inline_cutoff = 1;
-  ShardedEngine engine(snapshot, opts);
-  const std::vector<Weight> expected = engine.query_batch(batch);
-
-  std::vector<Weight> results(batch.size());
-  std::atomic<std::uint32_t> remaining{
-      static_cast<std::uint32_t>(batch.size())};
-  engine.submit_batch(batch, results.data(), &remaining);
-  std::uint32_t left;
-  while ((left = remaining.load(std::memory_order_acquire)) != 0)
-    remaining.wait(left, std::memory_order_acquire);
-  EXPECT_EQ(fnv_digest(results), fnv_digest(expected));
-}
-
 TEST(ShardedEngine, TinyRingsFallBackInlineAndStayExact) {
   auto snapshot = std::make_shared<const oracle::PathOracle>(grid_oracle());
   const auto n = static_cast<Vertex>(snapshot->num_vertices());
